@@ -8,7 +8,7 @@ package both hardcodes and re-derives from first principles, together with
 the order theory making the signed representation map monotone.
 """
 
-from .adders import (add_fib, add_fibc, adder_table, berstel_adder,
+from .adders import (add_fib, add_fibc, add_words, adder_table, berstel_adder,
                      complement_adder, sub_fibc)
 from .complement import (canonicalize, cmp_reversed_radix, cmp_signed,
                          enumerate_canonical, fibc_rep, fibc_rep_pair,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MealyMachine", "MissingTransitionError", "RunResult", "TraceStep",
     "CarryState",
-    "add_fib", "add_fibc", "adder_table", "berstel_adder", "canonicalize",
+    "add_fib", "add_fibc", "add_words", "adder_table", "berstel_adder", "canonicalize",
     "carry", "check_append_zero", "check_identities", "cmp_radix",
     "cmp_reversed_radix", "cmp_signed", "complement_adder", "derive_adder",
     "enumerate_canonical", "fib", "fib_rep", "fib_value", "fibc_rep",

@@ -6,6 +6,9 @@ same machine behind a fresh start state with three silent start transitions,
 and preserves the complement value instead.  The transition table is
 transcribed by hand and, as a guard against transcription slips, checked
 against the independently derived machine the first time it is built.
+
+Addition stays on words from end to end: the adder's output is normalized
+by local rewriting, never through its integer value.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .complement import canonicalize, fibc_rep, sum_words
+from .complement import _canonical, _digit_sum, _pad, fibc_rep, is_canonical
 from .fibonacci import fib_value, fibc_value
-from .mealy import MealyMachine, machine_diff
-from .zeckendorf import fib_rep, normalize_fib
+from .mealy import MealyMachine, RunResult, machine_diff
+from .zeckendorf import _normalize_binary, fib_rep
 
 # (state, input) -> output, next state.  State names are triple.carry.
 _ADDER_TABLE = """
@@ -102,6 +105,44 @@ def complement_adder() -> MealyMachine:
     )
 
 
+def _addition(u: str, v: str, signed: bool) -> tuple[str, str, str, RunResult, str]:
+    """The word-level pipeline behind every addition, for canonical words
+    (complement words if `signed`, else Zeckendorf words) that need no
+    validation.  Returns its stages: both operands padded to equal length,
+    their digit-wise sum, the adder's run on it, and last the result.  Each
+    stage is linear in the word length; the result comes from the adder's
+    output without a detour through int.
+    """
+    if signed:
+        u, v = _pad(u, v)
+    else:
+        width = max(len(u), len(v))
+        u, v = u.zfill(width), v.zfill(width)
+    total = _digit_sum(u, v)
+    run = (complement_adder() if signed else berstel_adder()).run(total)
+    raw = run.combined
+    if signed:
+        # An odd-length sum gives an odd-length output with its sign digit.
+        result = _canonical(_normalize_binary(raw), raw[0], len(raw))
+    else:
+        result = _normalize_binary(raw)
+    return u, v, total, run, result
+
+
+def add_words(u: str, v: str) -> str:
+    """Canonical complement word of the sum of two canonical complement
+    words: pad with neutral prefixes, add digit-wise, feed the extended
+    adder, canonicalize, all on words.
+
+    >>> add_words("1", "1000101")
+    '1000100'
+    """
+    for w in (u, v):
+        if not is_canonical(w):
+            raise ValueError(f"cannot add non-canonical word {w!r}")
+    return _addition(u, v, signed=True)[-1]
+
+
 def add_fib(m: int, n: int) -> str:
     """Sum of two nonnegative integers, computed on Zeckendorf words: pad
     with leading zeros, add digit-wise, feed the adder, normalize.
@@ -111,22 +152,16 @@ def add_fib(m: int, n: int) -> str:
     """
     if m < 0 or n < 0:
         raise ValueError("Fibonacci addition is defined for nonnegative integers")
-    u, v = fib_rep(m), fib_rep(n)
-    width = max(len(u), len(v))
-    u, v = u.zfill(width), v.zfill(width)
-    total = "".join(chr(ord(a) + ord(b) - 48) for a, b in zip(u, v))
-    return normalize_fib(berstel_adder().run_with_final(total))
+    return _addition(fib_rep(m), fib_rep(n), signed=False)[-1]
 
 
 def add_fibc(m: int, n: int) -> str:
-    """Sum of two integers, computed on complement words: pad with neutral
-    prefixes, add digit-wise, feed the extended adder, canonicalize.
+    """Sum of two integers, computed on complement words (see add_words).
 
     >>> add_fibc(-1, -9)
     '1000100'
     """
-    total = sum_words(fibc_rep(m), fibc_rep(n))
-    return canonicalize(complement_adder().run_with_final(total))
+    return _addition(fibc_rep(m), fibc_rep(n), signed=True)[-1]
 
 
 def sub_fibc(m: int, n: int) -> str:

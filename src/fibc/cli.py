@@ -13,16 +13,15 @@ import argparse
 import sys
 
 from . import __version__
-from .adders import (adder_table, berstel_adder, complement_adder,
+from .adders import (_addition, adder_table, berstel_adder, complement_adder,
                      format_table_csv, format_table_text)
-from .complement import (canonicalize, enumerate_canonical, fibc_rep,
-                         pad_words, sum_words)
+from .complement import enumerate_canonical, fibc_rep
 from .derivation import derive_adder
 from .fibonacci import (fib_value, fibc_value, twos_complement_rep,
                         twos_complement_value)
 from .mealy import MealyMachine, machine_diff
 from .verify import run_checks
-from .zeckendorf import fib_rep, normalize_fib
+from .zeckendorf import fib_rep
 
 
 def _show(word: str) -> str:
@@ -122,19 +121,13 @@ def _cmd_add(args: argparse.Namespace, negate_b: bool = False) -> int:
     if args.system == "fib":
         if m < 0 or n < 0:
             raise ValueError("the fib system represents nonnegative integers only")
-        u, v = fib_rep(m), fib_rep(n)
-        width = max(len(u), len(v))
-        u, v = u.zfill(width), v.zfill(width)
-        total = "".join(chr(ord(a) + ord(b) - 48) for a, b in zip(u, v))
+        u, v, total, run, result = _addition(fib_rep(m), fib_rep(n), signed=False)
         machine = berstel_adder()
+        value = fib_value(result)
     else:
-        total = sum_words(fibc_rep(m), fibc_rep(n))
-        u, v = pad_words(fibc_rep(m), fibc_rep(n))
+        u, v, total, run, result = _addition(fibc_rep(m), fibc_rep(n), signed=True)
         machine = complement_adder()
-    run = machine.run(total)
-    raw = run.combined
-    canonical = normalize_fib(raw) if args.system == "fib" else canonicalize(raw)
-    value = fib_value(canonical) if args.system == "fib" else fibc_value(canonical)
+        value = fibc_value(result)
 
     op = "-" if negate_b else "+"
     width = max(len(str(m)), len(str(shown_n)), len(str(value))) + 2
@@ -144,7 +137,7 @@ def _cmd_add(args: argparse.Namespace, negate_b: bool = False) -> int:
     if args.trace:
         _print_trace(machine, total, indent=" " * (width + 4))
     print(f"  {'raw':>{width}}  {_show(run.output)}·{run.final_output}")
-    print(f"= {value:>{width}}  {_show(canonical)}")
+    print(f"= {value:>{width}}  {_show(result)}")
     return 0
 
 
@@ -202,6 +195,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Python's int <-> decimal string limit (4300 digits) would turn large
+    # valid operands into usage errors; lift it for this call only.
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

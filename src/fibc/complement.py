@@ -10,10 +10,11 @@ equal-length alignment (and hence digit-wise addition) possible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product
 
-from .fibonacci import _check_word, fib, fibc_value
-from .zeckendorf import fib_rep
+from .fibonacci import _FIBS, _check_word, _extend_to_value, fib
+from .zeckendorf import _normalize_binary, fib_rep, normalize_fib
 
 
 def is_canonical(w: str) -> bool:
@@ -46,11 +47,10 @@ def fibc_rep(n: int) -> str:
     if n > 0:
         w = fib_rep(n)
         return ("00" if len(w) % 2 else "0") + w
-    k = 1
-    while n < -fib(2 * k - 1):
-        k += 1
-    w = fib_rep(fib(2 * k - 1) + n)
-    return "1" + "0" * (2 * k - len(w)) + w
+    _extend_to_value(-n)
+    j = bisect_left(_FIBS, -n) | 1  # least odd j = 2k-1 with F(j) >= -n
+    w = fib_rep(fib(j) + n)
+    return "1" + "0" * (j + 1 - len(w)) + w
 
 
 def neutral_prefix(w: str) -> str:
@@ -73,13 +73,19 @@ def pad_words(*words: str) -> tuple[str, ...]:
     >>> pad_words("1", "1000101")
     ('1010101', '1000101')
     """
-    if not words:
-        return ()
     for w in words:
         if not is_canonical(w):
             raise ValueError(f"cannot pad non-canonical word {w!r}")
+    return _pad(*words)
+
+
+def _pad(*words: str) -> tuple[str, ...]:
+    """pad_words without the validation, for words known to be canonical."""
+    if not words:
+        return ()
     k = max(len(w) for w in words)
-    return tuple(neutral_prefix(w) * ((k - len(w)) // 2) + w for w in words)
+    return tuple(("00" if w[0] == "0" else "10") * ((k - len(w)) // 2) + w
+                 for w in words)
 
 
 def fibc_rep_pair(a: int, b: int) -> tuple[str, str]:
@@ -88,7 +94,7 @@ def fibc_rep_pair(a: int, b: int) -> tuple[str, str]:
     >>> fibc_rep_pair(-1, -9)
     ('1010101', '1000101')
     """
-    return pad_words(fibc_rep(a), fibc_rep(b))  # type: ignore[return-value]
+    return _pad(fibc_rep(a), fibc_rep(b))  # type: ignore[return-value]
 
 
 def sum_words(u: str, v: str) -> str:
@@ -97,8 +103,20 @@ def sum_words(u: str, v: str) -> str:
     >>> sum_words("1", "1000101")
     '2010202'
     """
-    pu, pv = pad_words(u, v)
-    return "".join(chr(ord(a) + ord(b) - 48) for a, b in zip(pu, pv))
+    return _digit_sum(*pad_words(u, v))
+
+
+def _digit_sum(u: str, v: str) -> str:
+    """Digit-wise sum of two binary words of equal length.
+
+    Adds the ASCII codes as one big int each: every byte pair sums to at
+    most 98, so no carry crosses a byte, and subtracting one "0" per byte
+    leaves the digits 0, 1 and 2.
+    """
+    k = len(u)
+    total = (int.from_bytes(u.encode(), "big") + int.from_bytes(v.encode(), "big")
+             - int.from_bytes(b"0" * k, "big"))
+    return total.to_bytes(k, "big").decode()
 
 
 def canonicalize(w: str) -> str:
@@ -108,8 +126,36 @@ def canonicalize(w: str) -> str:
     >>> canonicalize("100110100")
     '1000100'
     """
+    if not w:
+        raise ValueError("complement value of the empty word is undefined")
     _check_word(w, "01", "binary")
-    return fibc_rep(fibc_value(w))
+    if w[0] == "1" and len(w) % 2 == 0:
+        # Neutral prefixes keep parity, so move to odd length first:
+        # -F(k-2) = -F(k-1) + F(k-3) turns 1t into 10 t[0] (t[1]+1) t[2:].
+        if len(w) == 2:
+            return "1" if w == "10" else "0"
+        return _canonical(normalize_fib("10" + w[1] + chr(ord(w[2]) + 1) + w[3:]),
+                          "1", len(w) + 1)
+    return _canonical(_normalize_binary(w), w[0], len(w))
+
+
+def _canonical(z: str, lead: str, k: int) -> str:
+    """Canonical word of the complement value of a length-k word with first
+    digit `lead` and Fibonacci value fib_value(z), z a Zeckendorf word.
+
+    The value is fib_value(z) - F(k) if lead is 1, fib_value(z) otherwise.
+    For odd k with lead 1 and len(z) <= k it is negative; the word 1 0...0 z
+    of length k+2 has it, less the neutral 10 pairs in front that a 1 follows.
+    """
+    if lead == "1":
+        if len(z) <= k:
+            w = "1" + z.zfill(k + 1)
+            i = 0
+            while w.startswith("101", i):
+                i += 2
+            return w[i:]
+        z = z[1:].lstrip("0")  # the top digit of z weighs F(k)
+    return ("00" if len(z) % 2 else "0") + z
 
 
 def cmp_reversed_radix(u: str, v: str) -> int:
@@ -119,11 +165,6 @@ def cmp_reversed_radix(u: str, v: str) -> int:
     if u == v:
         return 0
     return -1 if u < v else 1
-
-
-def reversed_radix_key(w: str) -> tuple[int, str]:
-    """Sort key realizing the reversed-radix order."""
-    return (-len(w), w)
 
 
 def signed_key(w: str) -> tuple[int, int, str]:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 
 class MissingTransitionError(ValueError):
@@ -52,8 +53,21 @@ class MealyMachine:
     initial: str
     input_alphabet: tuple[str, ...]
     output_alphabet: tuple[str, ...]
-    transitions: dict[tuple[str, str], tuple[str, str]] = field(repr=False)
-    final_words: dict[str, str] = field(repr=False)
+    transitions: Mapping[tuple[str, str], tuple[str, str]] = field(repr=False)
+    final_words: Mapping[str, str] = field(repr=False)
+    # state -> {symbol: (next state, output)}, the table run() steps through
+    _step: Mapping[str, dict[str, tuple[str, str]]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Read-only copies: a cached machine is shared by every caller.
+        transitions = MappingProxyType(dict(self.transitions))
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "final_words", MappingProxyType(dict(self.final_words)))
+        step: dict[str, dict[str, tuple[str, str]]] = {}
+        for (src, symbol), hit in transitions.items():
+            step.setdefault(src, {})[symbol] = hit
+        object.__setattr__(self, "_step", MappingProxyType(step))
 
     @classmethod
     def build(
@@ -147,13 +161,16 @@ class MealyMachine:
         state = self.initial if start is None else start
         if state not in self.final_words:
             raise ValueError(f"unknown start state {state!r}")
-        pieces = []
-        for position, symbol in enumerate(word):
-            hit = self.transitions.get((state, symbol))
-            if hit is None:
-                raise MissingTransitionError(state, symbol, position)
-            state, output = hit
-            pieces.append(output)
+        step = self._step
+        pieces: list[str] = []
+        append = pieces.append
+        try:
+            for symbol in word:
+                state, output = step[state][symbol]
+                append(output)
+        except KeyError:
+            position = len(pieces)
+            raise MissingTransitionError(state, word[position], position) from None
         return RunResult("".join(pieces), state, self.final_words[state])
 
     def run_with_final(self, word: str, start: str | None = None) -> str:

@@ -8,7 +8,9 @@ order (shorter first, then lexicographic).
 
 from __future__ import annotations
 
-from .fibonacci import _FIBS, _check_word, _extend_to_value, fib_value
+from bisect import bisect_right
+
+from .fibonacci import _FIBS, _check_word, _extend_to_value
 
 
 def fib_rep(n: int) -> str:
@@ -25,9 +27,7 @@ def fib_rep(n: int) -> str:
     if n == 0:
         return ""
     _extend_to_value(n)
-    k = len(_FIBS) - 1
-    while _FIBS[k] > n:
-        k -= 1
+    k = bisect_right(_FIBS, n) - 1
     digits = []
     rem = n
     for i in range(k, -1, -1):
@@ -68,10 +68,39 @@ def radix_key(w: str) -> tuple[int, str]:
 def normalize_fib(w: str) -> str:
     """Canonical word with the same Fibonacci value as a ternary word.
 
-    Goes through the integer value rather than digit rewriting; a single
-    one-pass transducer cannot do this job.
+    Binary words are rewritten in place (see _normalize_binary); a word
+    with a 2 is first run through the plain adder, which returns a binary
+    word of the same value.  Linear in the length of w.
 
     >>> normalize_fib("2")
     '10'
     """
-    return fib_rep(fib_value(w))
+    _check_word(w, "012", "ternary")
+    if "2" in w:
+        from .adders import berstel_adder  # adders imports this module
+
+        w = berstel_adder().run_with_final(w)
+    return _normalize_binary(w)
+
+
+def _normalize_binary(w: str) -> str:
+    """Canonical word with the same Fibonacci value as a binary word.
+
+    Rewrites 011 -> 100, which keeps the value as F(j+2) = F(j+1) + F(j).
+    The first 11 factor is always preceded by a 0, and the rewrite can only
+    create a new 11 to its left, so each rewrite cascades leftward until the
+    prefix is 11-free, then the scan jumps to the next 11.  Every rewrite
+    removes a 1, so the work is linear.  One guard 0 in front suffices: the
+    value of a length-k word is below F(k+1).
+    """
+    b = bytearray(b"0")
+    b += w.encode()
+    i = b.find(b"11")
+    while i > 0:  # never 0, by the guard
+        b[i - 1 : i + 2] = b"100"
+        j = i - 2
+        while j > 0 and b[j] == 49:  # the new 1 at j+1 made an 11 at j
+            b[j - 1 : j + 2] = b"100"
+            j -= 2
+        i = b.find(b"11", i + 1)
+    return b.lstrip(b"0").decode()

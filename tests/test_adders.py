@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from fibc.adders import (adder_table, add_fib, add_fibc, berstel_adder,
+from fibc.adders import (adder_table, add_fib, add_fibc, add_words, berstel_adder,
                          complement_adder, format_table_csv,
                          format_table_text, sub_fibc)
 from fibc.complement import fibc_rep
@@ -131,6 +131,21 @@ def test_add_fibc_examples():
     assert add_fibc(-1, -9) == "1000100"
     assert add_fibc(0, 0) == "0"
     assert add_fibc(12, -12) == "0"
+
+
+def test_add_words_examples():
+    assert add_words("1", "1000101") == "1000100"
+    assert add_words("0", "0") == "0"
+    assert add_words("001", "100") == "1"
+    for m in range(-40, 41):
+        for n in range(-40, 41):
+            assert add_words(fibc_rep(m), fibc_rep(n)) == fibc_rep(m + n)
+
+
+def test_add_words_rejects_non_canonical():
+    for u, v in (("10", "0"), ("0", "110"), ("000", "0"), ("0", "2"), ("", "0")):
+        with pytest.raises(ValueError):
+            add_words(u, v)
 
 
 def test_sub_fibc_examples():

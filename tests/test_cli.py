@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from fibc.cli import main
+from fibc.fibonacci import fib
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,24 @@ def test_convert_accepts_non_canonical_words(capsys):
     code, out, _ = run_cli(capsys, "convert", "--system", "fib",
                            "--from", "word", "2010202")
     assert code == 0 and out.strip() == "58"
+
+
+def test_convert_beyond_int_str_limit(capsys):
+    # F(30000) has over 6000 decimal digits, past Python's default limit.
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "convert", "--system", "fib",
+                           "--from", "word", "1" + "0" * 30000)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(fib(30000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.strip() == expected
+    code, out, _ = run_cli(capsys, "convert", "--system", "fib",
+                           "--from", "int", expected)
+    assert code == 0 and out.strip() == "1" + "0" * 30000
 
 
 def test_convert_usage_errors_exit_2(capsys):

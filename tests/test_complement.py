@@ -140,6 +140,21 @@ def test_canonicalize():
     assert fibc_value("11100") == 3  # 16 - F(5); the sign-split law needs 11-free words
 
 
+def test_canonicalize_matches_int_oracle():
+    # The word-level canonicalization against the int round trip.
+    for length in range(1, 17):
+        for tup in product("01", repeat=length):
+            w = "".join(tup)
+            assert canonicalize(w) == fibc_rep(fibc_value(w))
+
+
+def test_canonicalize_rejects_bad_input():
+    with pytest.raises(ValueError):
+        canonicalize("")
+    with pytest.raises(ValueError):
+        canonicalize("102")
+
+
 def test_canonicalize_idempotent():
     for n in range(-300, 301):
         w = fibc_rep(n)

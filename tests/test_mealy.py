@@ -93,6 +93,26 @@ def test_run_missing_transition_reports_position():
     assert err.value.state == "b"
 
 
+def test_machines_are_read_only():
+    for m in (berstel_adder(), complement_adder()):
+        with pytest.raises(TypeError):
+            m.transitions[("000.0", "0")] = ("000.0", "1")
+        with pytest.raises(TypeError):
+            m.final_words["000.0"] = "1"
+    assert berstel_adder().run_with_final("2") == "0010"
+
+
+def test_machine_copies_its_tables():
+    transitions = {("a", "0"): ("a", "1")}
+    final_words = {"a": ""}
+    m = MealyMachine(states=("a",), initial="a", input_alphabet=("0",),
+                     output_alphabet=("1",), transitions=transitions,
+                     final_words=final_words)
+    transitions[("a", "0")] = ("a", "")
+    final_words["a"] = "1"
+    assert m.run_with_final("00") == "11"
+
+
 def test_trace():
     steps = berstel_adder().trace("2")
     assert steps == [("000.0", "2", "0", "010.4")]

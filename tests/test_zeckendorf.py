@@ -2,6 +2,8 @@ from itertools import product
 
 import pytest
 
+from fibc import complement, fibonacci, zeckendorf
+from fibc.complement import fibc_rep
 from fibc.fibonacci import fib, fib_value
 from fibc.zeckendorf import (cmp_radix, fib_rep, is_zeckendorf, normalize_fib,
                              radix_key)
@@ -103,3 +105,49 @@ def test_normalize_exhaustive_ternary():
             assert fib_value(z) == fib_value(w)
             assert is_zeckendorf(z)
             assert normalize_fib(z) == z
+            assert z == fib_rep(fib_value(w))  # the int round trip, as oracle
+
+
+def test_normalize_binary_matches_int_oracle():
+    # The word-level rewriter against the int round trip it replaced.
+    for length in range(0, 17):
+        for tup in product("01", repeat=length):
+            w = "".join(tup)
+            assert normalize_fib(w) == fib_rep(fib_value(w))
+
+
+def test_normalize_rejects_bad_digits():
+    with pytest.raises(ValueError):
+        normalize_fib("0130")
+
+
+class CountingList(list):
+    """A list that counts element reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_conversion_cost_independent_of_cache_history(monkeypatch):
+    # Reads of the shared Fibonacci cache during one conversion, with a
+    # cache just large enough and with one grown by fib(20000): a scan from
+    # the top of the cache would differ by ~20000 reads, bisect by O(log).
+    def reads(call, grow):
+        fibs = CountingList([1, 2])
+        for module in (fibonacci, zeckendorf, complement):
+            monkeypatch.setattr(module, "_FIBS", fibs)
+        call()  # grows the cache as far as the call itself needs
+        if grow:
+            fib(20000)
+        fibs.reads = 0
+        call()
+        return fibs.reads
+
+    bound = 2 * (20000).bit_length()
+    for call in (lambda: fib_rep(10**6), lambda: fibc_rep(-(10**6))):
+        fresh, grown = reads(call, False), reads(call, True)
+        assert fresh > 0
+        assert abs(grown - fresh) <= bound
