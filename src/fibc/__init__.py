@@ -4,8 +4,8 @@ Nonnegative integers get their canonical Fibonacci (Zeckendorf) words;
 all integers get odd-length complement words whose leading digit carries a
 negative weight, the analogue of two's complement over Fibonacci weights.
 Addition in both systems runs on a small left-to-right transducer, which the
-package both hardcodes and re-derives from first principles, together with
-the order theory making the signed representation map monotone.
+package derives from first principles, together with the order theory making
+the signed representation map monotone.
 """
 
 from .adders import (add_fib, add_fibc, add_words, adder_table, berstel_adder,
@@ -13,8 +13,8 @@ from .adders import (add_fib, add_fibc, add_words, adder_table, berstel_adder,
 from .complement import (canonicalize, cmp_reversed_radix, cmp_signed,
                          enumerate_canonical, fibc_rep, fibc_rep_pair,
                          is_canonical, neutral_prefix, pad_words, sum_words)
-from .derivation import (CarryState, check_append_zero, derive_adder,
-                         carry, step, translate_word)
+from .derivation import (CarryState, check_append_zero, derive_adder, step,
+                         translate_word)
 from .fibonacci import (check_identities, fib, fib_value, fibc_value,
                         twos_complement_rep, twos_complement_value)
 from .mealy import MealyMachine, MissingTransitionError, RunResult, TraceStep
@@ -27,7 +27,7 @@ __all__ = [
     "MealyMachine", "MissingTransitionError", "RunResult", "TraceStep",
     "CarryState",
     "add_fib", "add_fibc", "add_words", "adder_table", "berstel_adder", "canonicalize",
-    "carry", "check_append_zero", "check_identities", "cmp_radix",
+    "check_append_zero", "check_identities", "cmp_radix",
     "cmp_reversed_radix", "cmp_signed", "complement_adder", "derive_adder",
     "enumerate_canonical", "fib", "fib_rep", "fib_value", "fibc_rep",
     "fibc_rep_pair", "fibc_value", "is_canonical", "is_zeckendorf",

@@ -3,9 +3,9 @@
 `berstel_adder` rewrites a digit-wise sum of two Zeckendorf words (alphabet
 0/1/2) into a binary word of equal Fibonacci value; `complement_adder` is the
 same machine behind a fresh start state with three silent start transitions,
-and preserves the complement value instead.  The transition table is
-transcribed by hand and, as a guard against transcription slips, checked
-against the independently derived machine the first time it is built.
+and preserves the complement value instead.  The transition table is not
+written down here: it comes from the first-principles construction in
+`derivation`, and the tests compare it with the paper's figure.
 
 Addition stays on words from end to end: the adder's output is normalized
 by local rewriting, never through its integer value.
@@ -17,23 +17,10 @@ from functools import cache
 from typing import NamedTuple
 
 from .complement import _canonical, _digit_sum, _pad, fibc_rep, is_canonical
+from .derivation import derive_adder
 from .fibonacci import fib_value, fibc_value
-from .mealy import MealyMachine, RunResult, machine_diff
+from .mealy import MealyMachine, RunResult
 from .zeckendorf import _normalize_binary, fib_rep
-
-# (state, input) -> output, next state.  State names are triple.carry.
-_ADDER_TABLE = """
-000.0 0/0 000.0   000.0 1/0 001.2   000.0 2/0 010.4
-001.2 0/0 010.3   001.2 1/0 100.5   001.2 2/0 101.7
-010.4 0/0 101.6   010.4 1/1 000.0   010.4 2/1 001.2
-010.3 0/0 100.5   010.3 1/0 101.7   010.3 2/1 000.1
-100.5 0/1 000.0   100.5 1/1 001.2   100.5 2/1 010.4
-101.7 0/1 010.3   101.7 1/1 100.5   101.7 2/1 101.7
-101.6 0/1 001.2   101.6 1/1 010.4   101.6 2/1 100.6
-000.1 0/0 001.1   000.1 1/0 010.3   000.1 2/0 100.5
-100.6 0/1 001.1   100.6 1/1 010.3   100.6 2/1 100.5
-001.1 0/0 001.2   001.1 1/0 010.4   001.1 2/0 100.6
-"""
 
 START = "start"
 _START_TRANSITIONS = (
@@ -43,47 +30,12 @@ _START_TRANSITIONS = (
 )
 
 
-def _parse_table() -> list[tuple[str, str, str, str]]:
-    transitions = []
-    fields = _ADDER_TABLE.split()
-    for i in range(0, len(fields), 3):
-        src, label, dst = fields[i : i + 3]
-        symbol, output = label.split("/")
-        transitions.append((src, symbol, output, dst))
-    return transitions
-
-
-def state_triple(state: str) -> str:
-    """The three-digit part of an adder state name ("100.6" -> "100")."""
-    return "000" if state == START else state.split(".")[0]
-
-
 @cache
 def berstel_adder() -> MealyMachine:
-    """The 10-state adder for Fibonacci-value-preserving rewriting.
-
-    Cross-checked against `derive_adder()` on first construction; a mismatch
-    means the hardcoded table is corrupt and raises immediately.
+    """The 10-state adder for Fibonacci-value-preserving rewriting, built by
+    `derive_adder()` once per process.
     """
-    transitions = _parse_table()
-    states = sorted({t[0] for t in transitions})
-    machine = MealyMachine.build(
-        states=states,
-        initial="000.0",
-        transitions=transitions,
-        final_words={s: state_triple(s) for s in states},
-        input_alphabet="012",
-        output_alphabet="01",
-    )
-    from .derivation import derive_adder
-
-    derived = derive_adder()
-    diffs = machine_diff(machine, derived)
-    if diffs or not machine.isomorphic_to(derived):
-        raise RuntimeError(
-            "hardcoded adder disagrees with the derived one:\n" + "\n".join(diffs)
-        )
-    return machine
+    return derive_adder()
 
 
 @cache

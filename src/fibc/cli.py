@@ -19,7 +19,7 @@ from .complement import enumerate_canonical, fibc_rep
 from .derivation import derive_adder
 from .fibonacci import (fib_value, fibc_value, twos_complement_rep,
                         twos_complement_value)
-from .mealy import MealyMachine, machine_diff
+from .mealy import MealyMachine
 from .verify import run_checks
 from .zeckendorf import fib_rep
 
@@ -149,18 +149,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_machine(args: argparse.Namespace) -> int:
-    if args.machine == "Z":
-        derived = derive_adder()
-        diffs = machine_diff(derived, berstel_adder())
-        if diffs or not derived.isomorphic_to(berstel_adder()):
-            print("derived machine disagrees with the hardcoded adder:",
-                  file=sys.stderr)
-            for line in diffs:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        machine = derived
-    else:
-        machine = _machine(args.machine)
+    machine = _machine(args.machine)
     sys.stdout.write(machine.to_dot() if args.format == "dot" else machine.to_json())
     return 0
 

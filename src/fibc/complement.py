@@ -11,7 +11,7 @@ equal-length alignment (and hence digit-wise addition) possible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
+from typing import Iterator
 
 from .fibonacci import _FIBS, _check_word, _extend_to_value, fib
 from .zeckendorf import _normalize_binary, fib_rep, normalize_fib
@@ -198,11 +198,18 @@ def enumerate_canonical(max_len: int) -> list[str]:
     """
     if max_len < 1 or max_len % 2 == 0:
         raise ValueError(f"max_len must be odd and positive, got {max_len}")
-    words = [
-        w
-        for length in range(1, max_len + 1, 2)
-        for w in ("".join(t) for t in product("01", repeat=length))
-        if is_canonical(w)
-    ]
+    words = [w for w in _no_11_words(max_len)
+             if len(w) % 2 == 1 and not w.startswith(("000", "101"))]
     words.sort(key=signed_key)
     return words
+
+
+def _no_11_words(max_len: int) -> Iterator[str]:
+    """Nonempty binary words without the factor 11, shortest first, grown
+    digit by digit so that no word containing 11 is ever built."""
+    frontier = ["0", "1"]
+    length = 1
+    while length <= max_len:
+        yield from frontier
+        frontier = [w + d for w in frontier for d in "01" if not (w[-1] == d == "1")]
+        length += 1

@@ -5,8 +5,9 @@ length plus a pending three-digit tail with the same Fibonacci value; the
 translation extends digit by digit, and the pair (pending tail, carry) where
 the carry is an integer bounded by the construction classifies words with
 identical future behavior.  Exploring those classes from the empty word
-yields a 10-state transducer; `translate_word` is the brute-force oracle the
-exploration is checked against.
+yields the 10-state transducer, the package's only source of the adder;
+`translate_word` is the brute-force oracle the exploration is checked
+against.
 """
 
 from __future__ import annotations
@@ -41,36 +42,48 @@ class CarryState(NamedTuple):
 class Translation(NamedTuple):
     output: str    # binary word, same length as the input
     triple: str    # pending three-digit tail
-    lambdas: str   # per-step emitted digits (concatenation equals output)
+    carry: int     # the carry of the class the word falls in
+
+
+def _extend(u: str, prev: Translation) -> Translation:
+    """Translation of a nonempty ternary word u from prev, the translation
+    of u without its last digit a.
+
+    The output grows by the unique digit b and the tail becomes the unique
+    triple t keeping the Fibonacci values equal; the carry is the tail
+    values of prev and t plus a, minus three if b is 1.  Raises if the
+    candidate search does not come back with exactly one solution.
+    """
+    target = fib_value(u)
+    matches = [
+        (b, t)
+        for b in "01"
+        for t in TRIPLES
+        if fib_value(prev.output + b + t) == target
+    ]
+    if len(matches) != 1:
+        raise RuntimeError(
+            f"expected exactly one extension for {u!r}, found {len(matches)}"
+        )
+    b, t = matches[0]
+    carry = (TRIPLE_VALUE[prev.triple] + TRIPLE_VALUE[t] - 3 * (ord(b) - 48)
+             + ord(u[-1]) - 48)
+    return Translation(prev.output + b, t, carry)
+
+
+_EMPTY = Translation("", "000", 0)
 
 
 def translate_word(u: str) -> Translation:
     """Canonical translation of a ternary word, found by brute force.
 
-    Starting from (empty output, tail "000"), each input digit extends the
-    output by the unique digit b and replaces the tail by the unique triple t
-    keeping the Fibonacci values equal.  Raises if the candidate search does
-    not come back with exactly one solution.
+    Starting from (empty output, tail "000", carry 0), each input digit
+    extends the translation as `_extend` describes.
     """
-    w, s = "", "000"
-    lambdas = []
-    for i in range(len(u)):
-        target = fib_value(u[: i + 1])
-        matches = [
-            (b, t)
-            for b in "01"
-            for t in TRIPLES
-            if fib_value(w + b + t) == target
-        ]
-        if len(matches) != 1:
-            raise RuntimeError(
-                f"expected exactly one extension for {u[: i + 1]!r}, "
-                f"found {len(matches)}"
-            )
-        b, s = matches[0]
-        w += b
-        lambdas.append(b)
-    return Translation(w, s, "".join(lambdas))
+    tr = _EMPTY
+    for i in range(1, len(u) + 1):
+        tr = _extend(u[:i], tr)
+    return tr
 
 
 def translate_tree(max_len: int) -> Iterator[tuple[str, Translation]]:
@@ -81,41 +94,15 @@ def translate_tree(max_len: int) -> Iterator[tuple[str, Translation]]:
     if max_len < 1:
         return
 
-    def expand(u: str, w: str) -> Iterator[tuple[str, Translation]]:
+    def expand(u: str, prev: Translation) -> Iterator[tuple[str, Translation]]:
         for a in "012":
             ua = u + a
-            target = fib_value(ua)
-            matches = [
-                (b, t)
-                for b in "01"
-                for t in TRIPLES
-                if fib_value(w + b + t) == target
-            ]
-            if len(matches) != 1:
-                raise RuntimeError(
-                    f"expected exactly one extension for {ua!r}, "
-                    f"found {len(matches)}"
-                )
-            b, t = matches[0]
-            yield ua, Translation(w + b, t, w + b)
+            tr = _extend(ua, prev)
+            yield ua, tr
             if len(ua) < max_len:
-                yield from expand(ua, w + b)
+                yield from expand(ua, tr)
 
-    yield from expand("", "")
-
-
-def carry(u: str) -> int:
-    """The integer carried by the translation of u: for u = va with final
-    digit a, the tail values of v and u plus the input digit, minus three
-    per emitted 1.  The empty word carries 0.
-    """
-    if not u:
-        return 0
-    prev = translate_word(u[:-1])
-    cur = translate_word(u)
-    a = ord(u[-1]) - 48
-    lam = ord(cur.lambdas[-1]) - 48
-    return TRIPLE_VALUE[prev.triple] + TRIPLE_VALUE[cur.triple] - 3 * lam + a
+    yield from expand("", _EMPTY)
 
 
 def step(state: CarryState, symbol: str) -> tuple[CarryState, str]:

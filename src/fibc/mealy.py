@@ -296,30 +296,3 @@ class MealyMachine:
                 queue.append((s2, t2))
         return len(pair) == len(self.states)
 
-
-def machine_diff(a: MealyMachine, b: MealyMachine) -> list[str]:
-    """Human-readable differences between two machines (empty if identical
-    up to state order).  Compares by state name, not up to renaming.
-    """
-    diffs = []
-    if set(a.states) != set(b.states):
-        only_a = sorted(set(a.states) - set(b.states))
-        only_b = sorted(set(b.states) - set(a.states))
-        if only_a:
-            diffs.append(f"states only in first: {', '.join(only_a)}")
-        if only_b:
-            diffs.append(f"states only in second: {', '.join(only_b)}")
-    if a.initial != b.initial:
-        diffs.append(f"initial states differ: {a.initial} vs {b.initial}")
-    keys = set(a.transitions) | set(b.transitions)
-    for key in sorted(keys):
-        ta, tb = a.transitions.get(key), b.transitions.get(key)
-        if ta != tb:
-            src, sym = key
-            diffs.append(f"transition ({src}, {sym}): {ta} vs {tb}")
-    for s in sorted(set(a.final_words) & set(b.final_words)):
-        if a.final_words[s] != b.final_words[s]:
-            diffs.append(
-                f"final word at {s}: {a.final_words[s]!r} vs {b.final_words[s]!r}"
-            )
-    return diffs

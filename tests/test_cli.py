@@ -202,20 +202,14 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     assert "FAIL stub sweep" in out and "210" in out
 
 
-def test_export_derived_mismatch_exits_1(capsys, monkeypatch):
-    from fibc import cli
-    from fibc.mealy import MealyMachine
-
-    broken = MealyMachine.build(
-        states=["000.0"], initial="000.0",
-        transitions=[("000.0", a, "0", "000.0") for a in "012"],
-        final_words={"000.0": "000"},
-    )
-    monkeypatch.setattr(cli, "derive_adder", lambda: broken)
-    code, out, err = run_cli(capsys, "export-machine", "--machine", "Z")
-    assert code == 1
-    assert out == ""
-    assert "disagrees" in err and "transition" in err
+def test_export_derived_equals_adder(capsys):
+    for fmt in ("dot", "json"):
+        code_b, out_b, _ = run_cli(capsys, "export-machine", "--machine", "B",
+                                   "--format", fmt)
+        code_z, out_z, _ = run_cli(capsys, "export-machine", "--machine", "Z",
+                                   "--format", fmt)
+        assert code_b == code_z == 0
+        assert out_b == out_z
 
 
 def test_verify_small_depth(capsys):

@@ -216,6 +216,29 @@ def test_enumerate_small():
     assert [fibc_value(w) for w in words5] == list(range(-5, 8))
 
 
+def brute_force_enumeration(max_len):
+    """Every binary word of odd length <= max_len that is_canonical accepts,
+    sorted by signed_key: the oracle for the digit-by-digit enumeration."""
+    words = [
+        w
+        for length in range(1, max_len + 1, 2)
+        for w in ("".join(t) for t in product("01", repeat=length))
+        if is_canonical(w)
+    ]
+    words.sort(key=signed_key)
+    return words
+
+
+def test_enumerate_matches_brute_force():
+    for max_len in range(1, 18, 2):
+        assert enumerate_canonical(max_len) == brute_force_enumeration(max_len)
+
+
+def test_enumerate_counts():
+    for max_len in range(1, 26, 2):
+        assert len(enumerate_canonical(max_len)) == fib(max_len)
+
+
 def test_enumerate_rejects_even():
     with pytest.raises(ValueError):
         enumerate_canonical(4)
