@@ -13,10 +13,9 @@ from .adders import (add_fib, add_fibc, add_words, adder_table, berstel_adder,
 from .complement import (canonicalize, cmp_reversed_radix, cmp_signed,
                          enumerate_canonical, fibc_rep, fibc_rep_pair,
                          is_canonical, neutral_prefix, pad_words, sum_words)
-from .derivation import (CarryState, check_append_zero, derive_adder, step,
-                         translate_word)
-from .fibonacci import (check_identities, fib, fib_value, fibc_value,
-                        twos_complement_rep, twos_complement_value)
+from .derivation import CarryState, derive_adder, step, translate_word
+from .fibonacci import (fib, fib_value, fibc_value, twos_complement_rep,
+                        twos_complement_value)
 from .mealy import MealyMachine, MissingTransitionError, RunResult, TraceStep
 from .zeckendorf import (cmp_radix, fib_rep, is_zeckendorf, normalize_fib,
                          radix_key)
@@ -27,8 +26,7 @@ __all__ = [
     "MealyMachine", "MissingTransitionError", "RunResult", "TraceStep",
     "CarryState",
     "add_fib", "add_fibc", "add_words", "adder_table", "berstel_adder", "canonicalize",
-    "check_append_zero", "check_identities", "cmp_radix",
-    "cmp_reversed_radix", "cmp_signed", "complement_adder", "derive_adder",
+    "cmp_radix", "cmp_reversed_radix", "cmp_signed", "complement_adder", "derive_adder",
     "enumerate_canonical", "fib", "fib_rep", "fib_value", "fibc_rep",
     "fibc_rep_pair", "fibc_value", "is_canonical", "is_zeckendorf",
     "neutral_prefix", "normalize_fib", "pad_words", "radix_key", "step",

@@ -208,8 +208,7 @@ def _no_11_words(max_len: int) -> Iterator[str]:
     """Nonempty binary words without the factor 11, shortest first, grown
     digit by digit so that no word containing 11 is ever built."""
     frontier = ["0", "1"]
-    length = 1
-    while length <= max_len:
+    for length in range(1, max_len + 1):
         yield from frontier
-        frontier = [w + d for w in frontier for d in "01" if not (w[-1] == d == "1")]
-        length += 1
+        if length < max_len:
+            frontier = [w + d for w in frontier for d in "01" if not (w[-1] == d == "1")]

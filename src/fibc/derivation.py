@@ -116,7 +116,7 @@ def step(state: CarryState, symbol: str) -> tuple[CarryState, str]:
         raise ValueError(f"carry {state.carry} outside 0..7")
     if state.triple not in TRIPLE_VALUE:
         raise ValueError(f"unknown triple {state.triple!r}")
-    if symbol not in "012":
+    if len(symbol) != 1 or symbol not in "012":
         raise ValueError(f"input digit must be 0, 1 or 2, got {symbol!r}")
     a = ord(symbol) - 48
     emitted, tail_value = divmod(state.carry + a, 5)
@@ -158,72 +158,3 @@ def derive_adder() -> MealyMachine:
         input_alphabet="012",
         output_alphabet="01",
     )
-
-
-class AppendZeroReport(NamedTuple):
-    """Outcome of the append-a-zero difference checks."""
-
-    pairs_checked: tuple[int, int, int]
-    counterexamples: list[tuple[str, str, str, int]]  # (part, u, w, difference)
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def check_append_zero(max_len: int) -> AppendZeroReport:
-    """Exhaustively verify how appending a trailing zero moves the values of
-    equal-value ternary words apart:
-
-      (i)   equal even length, equal value: u0 and w0 differ by at most 1;
-      (ii)  value of u equals value of w000: u0 minus w0000 is 0 or +1;
-      (iii) value of u equals value of w101: u0 minus w1010 is -1 or 0.
-
-    The pairing is cubic in the number of words, hence the small cap.
-    """
-    if not 1 <= max_len <= 9:
-        raise ValueError("max_len must be between 1 and 9")
-
-    def words_of(length: int) -> list[str]:
-        out = [""]
-        for _ in range(length):
-            out = [w + d for w in out for d in "012"]
-        return out
-
-    by_len_value: dict[int, dict[int, list[str]]] = {}
-    appended: dict[str, int] = {}
-    for length in range(0, max_len + 1):
-        groups: dict[int, list[str]] = {}
-        for w in words_of(length):
-            groups.setdefault(fib_value(w), []).append(w)
-            appended[w] = fib_value(w + "0")
-        by_len_value[length] = groups
-
-    counterexamples = []
-    checked_i = 0
-    for length in range(2, max_len + 1, 2):
-        for group in by_len_value[length].values():
-            for u in group:
-                for w in group:
-                    checked_i += 1
-                    if appended[u] - appended[w] not in (-1, 0, 1):
-                        counterexamples.append(("i", u, w, appended[u] - appended[w]))
-
-    checked_ii = checked_iii = 0
-    for length in range(3, max_len + 1):
-        groups = by_len_value[length]
-        for w in words_of(length - 3):
-            target = fib_value(w + "000")
-            for u in groups.get(target, ()):
-                checked_ii += 1
-                diff = appended[u] - fib_value(w + "0000")
-                if diff not in (0, 1):
-                    counterexamples.append(("ii", u, w, diff))
-            target = fib_value(w + "101")
-            for u in groups.get(target, ()):
-                checked_iii += 1
-                diff = appended[u] - fib_value(w + "1010")
-                if diff not in (-1, 0):
-                    counterexamples.append(("iii", u, w, diff))
-
-    return AppendZeroReport((checked_i, checked_ii, checked_iii), counterexamples)

@@ -11,7 +11,6 @@ F(-2) = 0.
 from __future__ import annotations
 
 import threading
-from typing import NamedTuple
 
 _FIBS = [1, 2]  # _FIBS[i] == F(i) for i >= 0; grown on demand under _LOCK
 _LOCK = threading.Lock()
@@ -118,37 +117,3 @@ def twos_complement_rep(n: int) -> str:
     if k == 1:
         return "1"
     return "1" + format(n + (1 << (k - 1)), f"0{k - 1}b")
-
-
-class IdentityCheck(NamedTuple):
-    """Truth of the three closed-form Fibonacci identities at a given k."""
-
-    k: int
-    alternating_sum: bool   # sum_{i<2k} (-1)^i F(i) F(2k-i) == -F(2k-2)
-    partial_sum: bool       # sum_{i<2k} F(i)             == F(2k+1) - 2
-    square_sum: bool        # sum_{i<2k} F(i)^2           == F(2k-2) F(2k+1)
-
-
-def check_identities(k_max: int) -> list[IdentityCheck]:
-    """Evaluate the three identities exactly for 1 <= k <= k_max.
-
-    >>> all(r.alternating_sum and r.partial_sum and r.square_sum
-    ...     for r in check_identities(10))
-    True
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    _extend_to_index(2 * k_max + 1)
-    report = []
-    for k in range(1, k_max + 1):
-        m = 2 * k
-        alt = sum((-1) ** i * fib(i) * fib(m - i) for i in range(m))
-        tot = sum(fib(i) for i in range(m))
-        sq = sum(fib(i) ** 2 for i in range(m))
-        report.append(IdentityCheck(
-            k,
-            alt == -fib(m - 2),
-            tot == fib(m + 1) - 2,
-            sq == fib(m - 2) * fib(m + 1),
-        ))
-    return report

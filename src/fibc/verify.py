@@ -1,9 +1,10 @@
 """Exhaustive small-instance checks for every property the package rests on.
 
 Each check sweeps a finite domain (word length or integer radius), counts the
-instances it looked at, and reports the first counterexample if any. The CLI
-`verify` subcommand runs the whole battery; tests call the same functions
-with the depths they need, optionally injecting a broken machine.
+instances it looked at, and stops at the first counterexample, which it
+reports.  The CLI `verify` subcommand runs the whole battery; tests call the
+same functions with the depths they need, optionally injecting a broken
+machine.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import product
 from typing import Iterator, NamedTuple
 
 from . import adders, complement, derivation, fibonacci, zeckendorf
-from .mealy import MealyMachine
+from .mealy import MealyMachine, RunResult
 
 
 class CheckResult(NamedTuple):
@@ -26,223 +27,179 @@ class CheckResult(NamedTuple):
         return f"{status} {self.name}: {self.detail} ({self.checked} instances)"
 
 
-def _result(name: str, checked: int, failures: list[str], what: str) -> CheckResult:
-    if failures:
-        return CheckResult(name, False, checked, f"counterexample {failures[0]}")
+def _sweep(name: str, what: str, *parts: tuple) -> CheckResult:
+    """Run the parts in order, counting every case looked at, and stop at
+    the first case failing its predicate.  Each part is a triple: the
+    domain, the predicate each case must satisfy and the counterexample
+    label of a case.  A passing sweep reports `what`."""
+    checked = 0
+    for cases, holds, label in parts:
+        for case in cases:
+            checked += 1
+            if not holds(case):
+                return CheckResult(name, False, checked, f"counterexample {label(case)}")
     return CheckResult(name, True, checked, what)
 
 
-def _ternary_words(max_len: int, min_len: int = 1) -> Iterator[str]:
+def _words(alphabet: str, max_len: int, min_len: int) -> Iterator[str]:
+    """Words over the alphabet with length min_len..max_len, shortest first."""
     for length in range(min_len, max_len + 1):
-        for tup in product("012", repeat=length):
-            yield "".join(tup)
-
-
-def _binary_words(max_len: int, min_len: int = 0) -> Iterator[str]:
-    for length in range(min_len, max_len + 1):
-        for tup in product("01", repeat=length):
-            yield "".join(tup)
+        yield from map("".join, product(alphabet, repeat=length))
 
 
 def _zeckendorf_words(max_len: int) -> Iterator[str]:
     """Nonempty canonical Zeckendorf words, shortest first."""
-    for w in complement._no_11_words(max_len):
-        if w[0] == "1":
-            yield w
+    return (w for w in complement._no_11_words(max_len) if w[0] == "1")
+
+
+def _canonical_words(max_len: int) -> list[str]:
+    """Canonical complement words to the largest odd length <= max_len."""
+    odd = max_len if max_len % 2 else max_len - 1
+    return complement.enumerate_canonical(odd) if odd >= 1 else []
+
+
+def _identities(k: int) -> tuple[bool, bool, bool]:
+    """Truth of the three closed-form Fibonacci identities at k:
+    sum_{i<2k} (-1)^i F(i) F(2k-i) == -F(2k-2),
+    sum_{i<2k} F(i) == F(2k+1) - 2 and sum_{i<2k} F(i)^2 == F(2k-2) F(2k+1)."""
+    fib = fibonacci.fib
+    m = 2 * k
+    return (sum((-1) ** i * fib(i) * fib(m - i) for i in range(m)) == -fib(m - 2),
+            sum(fib(i) for i in range(m)) == fib(m + 1) - 2,
+            sum(fib(i) ** 2 for i in range(m)) == fib(m - 2) * fib(m + 1))
 
 
 def identities_check(k_max: int) -> CheckResult:
-    rows = fibonacci.check_identities(k_max) if k_max >= 1 else []
-    failures = [f"k={r.k} flags={r[1:]}" for r in rows if not all(r[1:])]
-    return _result("fibonacci identities", len(rows), failures,
-                   f"three identities exact for k <= {k_max}")
+    """The three identities, evaluated exactly for 1 <= k <= k_max.
+
+    >>> identities_check(10).line()
+    'ok   fibonacci identities: three identities exact for k <= 10 (10 instances)'
+    """
+    return _sweep("fibonacci identities", f"three identities exact for k <= {k_max}",
+                  (range(1, k_max + 1), lambda k: all(_identities(k)),
+                   lambda k: f"k={k} flags={_identities(k)}"))
 
 
 def value_relation_check(max_len: int) -> CheckResult:
     """Complement value == Fibonacci value minus leading digit times F(k)."""
-    checked = 0
-    failures = []
-    for w in _binary_words(max_len, min_len=1):
-        checked += 1
-        expected = fibonacci.fib_value(w) - (ord(w[0]) - 48) * fibonacci.fib(len(w))
-        if fibonacci.fibc_value(w) != expected:
-            failures.append(w)
-    return _result("complement/Fibonacci value relation", checked, failures,
-                   f"binary words to length {max_len}")
+    fib, val = fibonacci.fib, fibonacci.fib_value
+    return _sweep("complement/Fibonacci value relation", f"binary words to length {max_len}",
+                  (_words("01", max_len, 1),
+                   lambda w: fibonacci.fibc_value(w) == val(w) - int(w[0]) * fib(len(w)), str))
 
 
 def twos_prefix_check(max_len: int) -> CheckResult:
     """0 and 1 are neutral prefixes for the two's-complement value."""
-    checked = 0
-    failures = []
     val = fibonacci.twos_complement_value
-    for w in _binary_words(max_len):
-        checked += 1
-        if val("00" + w) != val("0" + w) or val("11" + w) != val("1" + w):
-            failures.append(w)
-    return _result("two's-complement neutral prefixes", checked, failures,
-                   f"suffixes to length {max_len}")
+    return _sweep("two's-complement neutral prefixes", f"suffixes to length {max_len}",
+                  (_words("01", max_len, 0),
+                   lambda w: all(val(a + a + w) == val(a + w) for a in "01"), str))
 
 
 def zeckendorf_roundtrip_check(limit: int, max_len: int) -> CheckResult:
-    checked = 0
-    failures = []
-    for n in range(limit + 1):
-        checked += 1
-        if fibonacci.fib_value(zeckendorf.fib_rep(n)) != n:
-            failures.append(f"n={n}")
-    for w in _zeckendorf_words(max_len):
-        checked += 1
-        if zeckendorf.fib_rep(fibonacci.fib_value(w)) != w:
-            failures.append(w)
-    return _result("Zeckendorf round trip", checked, failures,
-                   f"integers to {limit}, words to length {max_len}")
+    return _sweep(
+        "Zeckendorf round trip", f"integers to {limit}, words to length {max_len}",
+        (range(limit + 1), lambda n: fibonacci.fib_value(zeckendorf.fib_rep(n)) == n,
+         "n={}".format),
+        (_zeckendorf_words(max_len),
+         lambda w: zeckendorf.fib_rep(fibonacci.fib_value(w)) == w, str),
+    )
 
 
 def zeckendorf_monotone_check(limit: int) -> CheckResult:
-    checked = 0
-    failures = []
-    prev = zeckendorf.fib_rep(0)
-    for n in range(1, limit + 1):
-        checked += 1
-        cur = zeckendorf.fib_rep(n)
-        if zeckendorf.cmp_radix(prev, cur) >= 0:
-            failures.append(f"n={n}")
-        prev = cur
-    return _result("Zeckendorf radix monotonicity", checked, failures,
-                   f"integers to {limit}")
+    rep = zeckendorf.fib_rep
+    return _sweep("Zeckendorf radix monotonicity", f"integers to {limit}",
+                  (range(1, limit + 1), lambda n: zeckendorf.cmp_radix(rep(n - 1), rep(n)) < 0,
+                   "n={}".format))
 
 
 def normalize_check(max_len: int) -> CheckResult:
     """normalize_fib preserves value and is idempotent on ternary words."""
-    checked = 0
-    failures = []
-    for w in _ternary_words(max_len):
-        checked += 1
+    def holds(w: str) -> bool:
         z = zeckendorf.normalize_fib(w)
-        if (fibonacci.fib_value(z) != fibonacci.fib_value(w)
-                or not zeckendorf.is_zeckendorf(z)
-                or zeckendorf.normalize_fib(z) != z):
-            failures.append(w)
-    return _result("normalization", checked, failures,
-                   f"ternary words to length {max_len}")
+        return (fibonacci.fib_value(z) == fibonacci.fib_value(w)
+                and zeckendorf.is_zeckendorf(z)
+                and zeckendorf.normalize_fib(z) == z)
+
+    return _sweep("normalization", f"ternary words to length {max_len}",
+                  (_words("012", max_len, 1), holds, str))
 
 
 def complement_roundtrip_check(radius: int, max_len: int) -> CheckResult:
-    checked = 0
-    failures = []
-    for n in range(-radius, radius + 1):
-        checked += 1
+    def holds(n: int) -> bool:
         w = complement.fibc_rep(n)
-        if not complement.is_canonical(w) or fibonacci.fibc_value(w) != n:
-            failures.append(f"n={n}")
-    if max_len >= 1:
-        for w in complement.enumerate_canonical(max_len if max_len % 2 else max_len - 1):
-            checked += 1
-            if complement.fibc_rep(fibonacci.fibc_value(w)) != w:
-                failures.append(w)
-    return _result("complement round trip", checked, failures,
-                   f"integers to +-{radius}, words to length {max_len}")
+        return complement.is_canonical(w) and fibonacci.fibc_value(w) == n
+
+    return _sweep(
+        "complement round trip", f"integers to +-{radius}, words to length {max_len}",
+        (range(-radius, radius + 1), holds, "n={}".format),
+        (_canonical_words(max_len),
+         lambda w: complement.fibc_rep(fibonacci.fibc_value(w)) == w, str),
+    )
 
 
 def neutral_prefix_check(max_len: int) -> CheckResult:
     """Prepending 00 to a 0-word or 10 to a 1-word keeps the value."""
-    checked = 0
-    failures = []
     val = fibonacci.fibc_value
-    for w in _binary_words(max_len, min_len=1):
-        checked += 1
-        if val(("00" if w[0] == "0" else "10") + w) != val(w):
-            failures.append(w)
-    return _result("neutral prefixes", checked, failures,
-                   f"binary words to length {max_len}")
+    return _sweep("neutral prefixes", f"binary words to length {max_len}",
+                  (_words("01", max_len, 1),
+                   lambda w: val(complement.neutral_prefix(w) + w) == val(w), str))
 
 
 def generalized_neutral_check(max_len: int) -> CheckResult:
     """Prepending a0 to a ternary word starting with a keeps the value."""
-    checked = 0
-    failures = []
     val = fibonacci.fibc_value
-    for v in _ternary_words(max_len, min_len=0):
-        for a in "012":
-            checked += 1
-            if val(a + "0" + a + v) != val(a + v):
-                failures.append(a + "|" + v)
-    return _result("generalized neutral prefixes", checked, failures,
-                   f"ternary suffixes to length {max_len}")
+    return _sweep("generalized neutral prefixes", f"ternary suffixes to length {max_len}",
+                  ((a + v for v in _words("012", max_len, 0) for a in "012"),
+                   lambda u: val(u[0] + "0" + u) == val(u), lambda u: f"{u[0]}|{u[1:]}"))
 
 
 def zeckendorf_interval_check(max_len: int) -> CheckResult:
     """A nonempty canonical word of length k has value in [F(k-1), F(k))."""
-    checked = 0
-    failures = []
-    for w in _zeckendorf_words(max_len):
-        checked += 1
-        n = fibonacci.fib_value(w)
-        if not fibonacci.fib(len(w) - 1) <= n < fibonacci.fib(len(w)):
-            failures.append(w)
-    return _result("Zeckendorf length intervals", checked, failures,
-                   f"canonical words to length {max_len}")
+    fib = fibonacci.fib
+    return _sweep("Zeckendorf length intervals", f"canonical words to length {max_len}",
+                  (_zeckendorf_words(max_len),
+                   lambda w: fib(len(w) - 1) <= fibonacci.fib_value(w) < fib(len(w)), str))
 
 
 def sign_split_check(max_len: int) -> CheckResult:
     """For 11-free words of length k: first digit 0 iff value in [0, F(k-1)),
     first digit 1 iff value in [-F(k-2), 0)."""
-    checked = 0
-    failures = []
-    for w in complement._no_11_words(max_len):
-        checked += 1
-        n = fibonacci.fibc_value(w)
-        k = len(w)
-        if w[0] == "0":
-            good = 0 <= n < fibonacci.fib(k - 1)
-        else:
-            good = -fibonacci.fib(k - 2) <= n < 0
-        if not good:
-            failures.append(w)
-    return _result("sign split by first digit", checked, failures,
-                   f"11-free words to length {max_len}")
+    fib, val = fibonacci.fib, fibonacci.fibc_value
+    return _sweep("sign split by first digit", f"11-free words to length {max_len}",
+                  (complement._no_11_words(max_len),
+                   lambda w: (0 <= val(w) < fib(len(w) - 1) if w[0] == "0"
+                              else -fib(len(w) - 2) <= val(w) < 0), str))
 
 
 def canonical_interval_check(max_len: int) -> CheckResult:
     """For canonical complement words of length 2k+1: 0-leading iff value in
     [F(2k-2), F(2k)); 1-leading longer than one digit iff value in
     [-F(2k-1), -F(2k-3)); the single-digit 1 iff value is -1."""
+    fib = fibonacci.fib
+
+    def holds(w: str) -> bool:
+        n = fibonacci.fibc_value(w)
+        k = (len(w) - 1) // 2
+        if w == "1":
+            return n == -1
+        if w[0] == "0":
+            return fib(2 * k - 2) <= n < fib(2 * k)
+        return -fib(2 * k - 1) <= n < -fib(2 * k - 3)
+
     if max_len % 2 == 0:
         max_len -= 1
-    checked = 0
-    failures = []
-    if max_len >= 1:
-        for w in complement.enumerate_canonical(max_len):
-            checked += 1
-            n = fibonacci.fibc_value(w)
-            k = (len(w) - 1) // 2
-            if w == "1":
-                good = n == -1
-            elif w[0] == "0":
-                good = fibonacci.fib(2 * k - 2) <= n < fibonacci.fib(2 * k)
-            else:
-                good = -fibonacci.fib(2 * k - 1) <= n < -fibonacci.fib(2 * k - 3)
-            if not good:
-                failures.append(w)
-    return _result("canonical value intervals", checked, failures,
-                   f"canonical words to length {max_len}")
+    return _sweep("canonical value intervals", f"canonical words to length {max_len}",
+                  (_canonical_words(max_len), holds, str))
 
 
 def fib_adder_value_check(max_len: int, machine: MealyMachine | None = None) -> CheckResult:
     """The plain adder output has the input's Fibonacci value."""
     m = machine if machine is not None else adders.berstel_adder()
-    checked = 1
-    failures = []
-    if fibonacci.fib_value(m.run_with_final("")) != 0:
-        failures.append("(empty)")
-    for u in _ternary_words(max_len):
-        checked += 1
-        if fibonacci.fib_value(m.run_with_final(u)) != fibonacci.fib_value(u):
-            failures.append(u)
-            break
-    return _result("adder preserves Fibonacci value", checked, failures,
-                   f"ternary words to length {max_len}")
+    val = fibonacci.fib_value
+    return _sweep("adder preserves Fibonacci value", f"ternary words to length {max_len}",
+                  (_words("012", max_len, 0), lambda u: val(m.run_with_final(u)) == val(u),
+                   lambda u: u or "(empty)"))
 
 
 def complement_adder_value_check(
@@ -251,30 +208,22 @@ def complement_adder_value_check(
     """The extended adder output is two digits longer than the input and has
     the input's complement value."""
     m = machine if machine is not None else adders.complement_adder()
-    checked = 0
-    failures = []
-    for u in _ternary_words(max_len):
-        checked += 1
+
+    def holds(u: str) -> bool:
         z = m.run_with_final(u)
-        if len(z) != len(u) + 2 or fibonacci.fibc_value(z) != fibonacci.fibc_value(u):
-            failures.append(u)
-            break
-    return _result("extended adder preserves complement value", checked, failures,
-                   f"ternary words to length {max_len}")
+        return len(z) == len(u) + 2 and fibonacci.fibc_value(z) == fibonacci.fibc_value(u)
+
+    return _sweep("extended adder preserves complement value",
+                  f"ternary words to length {max_len}",
+                  (_words("012", max_len, 1), holds, str))
 
 
 def first_letter_check(max_len: int, machine: MealyMachine | None = None) -> CheckResult:
     """The extended adder output starts with 0 exactly when the input does."""
     m = machine if machine is not None else adders.complement_adder()
-    checked = 0
-    failures = []
-    for u in _ternary_words(max_len):
-        checked += 1
-        z = m.run_with_final(u)
-        if (z[0] == "0") != (u[0] == "0"):
-            failures.append(u)
-    return _result("output sign matches input first digit", checked, failures,
-                   f"ternary words to length {max_len}")
+    return _sweep("output sign matches input first digit", f"ternary words to length {max_len}",
+                  (_words("012", max_len, 1),
+                   lambda u: (m.run_with_final(u)[0] == "0") == (u[0] == "0"), str))
 
 
 def adder_relation_check(max_len: int) -> CheckResult:
@@ -284,113 +233,120 @@ def adder_relation_check(max_len: int) -> CheckResult:
     (resp. 2v)."""
     plain = adders.berstel_adder()
     extended = adders.complement_adder()
-    checked = 0
-    failures = []
-    for v in _ternary_words(max_len, min_len=0):
-        checked += 3
-        if plain.run_with_final("0" + v) != "0" + extended.run_with_final("0" + v):
-            failures.append("0|" + v)
-        if plain.run_with_final("101" + v) != "000" + extended.run_with_final("1" + v):
-            failures.append("101|" + v)
-        if plain.run_with_final("202" + v) != "001" + extended.run_with_final("2" + v):
-            failures.append("202|" + v)
-    return _result("plain/extended adder relations", checked, failures,
-                   f"suffixes to length {max_len}")
+    prepended = {"0": "0", "101": "000", "202": "001"}
+
+    def holds(case: tuple[str, str]) -> bool:
+        p, v = case
+        return (plain.run_with_final(p + v)
+                == prepended[p] + extended.run_with_final(p[-1] + v))
+
+    return _sweep("plain/extended adder relations", f"suffixes to length {max_len}",
+                  (((p, v) for v in _words("012", max_len, 0) for p in prepended),
+                   holds, "|".join))
 
 
 def addition_check(radius: int, fib_limit: int | None = None) -> CheckResult:
     """End to end: transducer addition agrees with integer addition."""
     if fib_limit is None:
         fib_limit = 2 * radius
-    checked = 0
-    failures = []
     reps = {n: complement.fibc_rep(n) for n in range(-2 * radius, 2 * radius + 1)}
-    for m in range(-radius, radius + 1):
-        for n in range(-radius, radius + 1):
-            checked += 1
-            if adders.add_fibc(m, n) != reps[m + n]:
-                failures.append(f"{m}+{n}")
-                break
-        if failures:
-            break
     fib_reps = {n: zeckendorf.fib_rep(n) for n in range(0, 2 * fib_limit + 1)}
-    for m in range(fib_limit + 1):
-        for n in range(fib_limit + 1):
-            checked += 1
-            if adders.add_fib(m, n) != fib_reps[m + n]:
-                failures.append(f"{m}+{n} (fib)")
-                break
-        if failures:
-            break
-    return _result("end-to-end addition", checked, failures,
-                   f"pairs to +-{radius} and [0, {fib_limit}]")
+    return _sweep(
+        "end-to-end addition", f"pairs to +-{radius} and [0, {fib_limit}]",
+        (product(range(-radius, radius + 1), repeat=2),
+         lambda p: adders.add_fibc(*p) == reps[p[0] + p[1]], lambda p: f"{p[0]}+{p[1]}"),
+        (product(range(fib_limit + 1), repeat=2),
+         lambda p: adders.add_fib(*p) == fib_reps[p[0] + p[1]], lambda p: f"{p[0]}+{p[1]} (fib)"),
+    )
 
 
 def order_check(radius: int, max_len: int) -> CheckResult:
     """Representations sort by value under the signed word order, and the
     words up to a given length are exactly an integer interval."""
-    checked = 0
-    failures = []
-    if complement.fibc_rep(0) != "0":
-        failures.append("rep(0)")
-    prev = complement.fibc_rep(-radius)
-    for n in range(-radius + 1, radius + 1):
-        checked += 1
-        cur = complement.fibc_rep(n)
-        if complement.cmp_signed(prev, cur) >= 0:
-            failures.append(f"n={n}")
-        prev = cur
+    rep = complement.fibc_rep
     if max_len % 2 == 0:
         max_len -= 1
-    if max_len >= 1 and not failures:
-        words = complement.enumerate_canonical(max_len)
-        values = [fibonacci.fibc_value(w) for w in words]
-        checked += len(words)
-        lo = values[0]
-        if values != list(range(lo, lo + len(values))):
-            failures.append("values not contiguous")
-        elif lo > 0 or lo + len(values) <= 0:
-            failures.append("interval misses 0")
-        elif [complement.fibc_rep(v) for v in values] != words:
-            failures.append("enumeration is not the representation image")
-    return _result("value-ordered representations", checked, failures,
-                   f"integers to +-{radius}, words to length {max_len}")
+    name = "value-ordered representations"
+    if rep(0) != "0":
+        return CheckResult(name, False, 0, "counterexample rep(0)")
+    result = _sweep(name, f"integers to +-{radius}, words to length {max_len}",
+                    (range(-radius + 1, radius + 1),
+                     lambda n: complement.cmp_signed(rep(n - 1), rep(n)) < 0, "n={}".format))
+    if max_len < 1 or not result.ok:
+        return result
+    words = complement.enumerate_canonical(max_len)
+    values = [fibonacci.fibc_value(w) for w in words]
+    checked = result.checked + len(words)
+    lo = values[0]
+    if values != list(range(lo, lo + len(values))):
+        return CheckResult(name, False, checked, "counterexample values not contiguous")
+    if lo > 0 or lo + len(values) <= 0:
+        return CheckResult(name, False, checked, "counterexample interval misses 0")
+    if [rep(v) for v in values] != words:
+        return CheckResult(name, False, checked,
+                           "counterexample enumeration is not the representation image")
+    return result._replace(checked=checked)
 
 
 def append_zero_check(max_len: int) -> CheckResult:
+    """How appending a trailing zero moves the values of equal-value ternary
+    words apart, for words to length min(max_len, 8):
+
+      (i)   equal even length, equal value: u0 and w0 differ by at most 1;
+      (ii)  value of u equals value of w000: u0 minus w0000 is 0 or +1;
+      (iii) value of u equals value of w101: u0 minus w1010 is -1 or 0.
+
+    The pairing is cubic in the number of words, hence the cap.
+    """
+    name = "append-zero differences"
     if max_len < 1:
-        return CheckResult("append-zero differences", True, 0, "skipped (depth 0)")
-    report = derivation.check_append_zero(min(max_len, 8))
-    failures = [str(c) for c in report.counterexamples]
-    return _result("append-zero differences", sum(report.pairs_checked), failures,
-                   f"equal-value pairs to length {min(max_len, 8)}")
+        return CheckResult(name, True, 0, "skipped (depth 0)")
+    max_len = min(max_len, 8)
+    # by_value[k][n]: the words of length k and value n; appended[w]: the value of w0.
+    by_value: list[dict[int, list[str]]] = [{} for _ in range(max_len + 1)]
+    appended: dict[str, int] = {}
+    for w in _words("012", max_len, 0):
+        by_value[len(w)].setdefault(fibonacci.fib_value(w), []).append(w)
+        appended[w] = fibonacci.fib_value(w + "0")
+    allowed = {"i": (-1, 0, 1), "ii": (0, 1), "iii": (-1, 0)}
+
+    # (part, u, w, x): u and x have equal length and value; x is w in part
+    # i, w000 in part ii and w101 in part iii, so u0 - x0 is the difference.
+    def pairs() -> Iterator[tuple[str, str, str, str]]:
+        for k in range(2, max_len + 1, 2):
+            for group in by_value[k].values():
+                for u, w in product(group, repeat=2):
+                    yield "i", u, w, w
+        for k in range(3, max_len + 1):
+            for w in _words("012", k - 3, k - 3):
+                for part, tail in (("ii", "000"), ("iii", "101")):
+                    for u in by_value[k].get(fibonacci.fib_value(w + tail), ()):
+                        yield part, u, w, w + tail
+
+    return _sweep(name, f"equal-value pairs to length {max_len}",
+                  (pairs(), lambda c: appended[c[1]] - appended[c[3]] in allowed[c[0]],
+                   lambda c: str((*c[:3], appended[c[1]] - appended[c[3]]))))
 
 
 def derivation_check(max_len: int) -> CheckResult:
     """The explored machine has the expected shape and agrees with the
     brute-force translation, carry included, on every short word."""
     derived = derivation.derive_adder()
-    failures = []
-    checked = 1
-    if len(derived.states) != 10:
-        failures.append(f"{len(derived.states)} states")
+    flaws = [f"carry of {s}" for s in derived.states if not 0 <= int(s.split(".")[1]) <= 7]
     if derived.transition_count != 30:
-        failures.append(f"{derived.transition_count} transitions")
-    for s in derived.states:
-        c = int(s.split(".")[1])
-        if not 0 <= c <= 7:
-            failures.append(f"carry of {s}")
-    if not failures:
-        for word, tr in derivation.translate_tree(max_len):
-            checked += 1
-            run = derived.run(word)
-            if (run.output != tr.output
-                    or run.final_output != tr.triple
-                    or run.last_state != f"{tr.triple}.{tr.carry}"):
-                failures.append(word)
-                break
-    return _result("derived adder vs brute-force translation", checked, failures,
-                   f"ternary words to length {max_len}")
+        flaws.insert(0, f"{derived.transition_count} transitions")
+    if len(derived.states) != 10:
+        flaws.insert(0, f"{len(derived.states)} states")
+
+    def agrees(case: tuple[str, derivation.Translation]) -> bool:
+        word, tr = case
+        return derived.run(word) == RunResult(tr.output, f"{tr.triple}.{tr.carry}", tr.triple)
+
+    # The shape counts as one instance, checked before any word.
+    return _sweep("derived adder vs brute-force translation",
+                  f"ternary words to length {max_len}",
+                  ((derived,), lambda _: not flaws, lambda _: flaws[0]),
+                  (derivation.translate_tree(max_len), agrees, lambda case: case[0]))
 
 
 def class_inheritance_check(max_len: int) -> CheckResult:
@@ -401,19 +357,14 @@ def class_inheritance_check(max_len: int) -> CheckResult:
     for word, tr in derivation.translate_tree(max_len + 1):
         classes[word] = (tr.triple, tr.carry)
         behavior[word] = (tr.output[-1], tr.triple, tr.carry)
-    groups: dict[tuple, dict] = {}
-    checked = 0
-    failures = []
-    for word, key in classes.items():
-        if len(word) > max_len:
-            continue
-        checked += 1
+    groups: dict[tuple, tuple] = {}
+
+    def holds(word: str) -> bool:
         children = tuple(behavior[word + a] for a in "012")
-        if key in groups and groups[key] != children:
-            failures.append(word)
-        groups.setdefault(key, children)
-    return _result("equivalent classes behave equally", checked, failures,
-                   f"ternary words to length {max_len}")
+        return groups.setdefault(classes[word], children) == children
+
+    return _sweep("equivalent classes behave equally", f"ternary words to length {max_len}",
+                  ((w for w in classes if len(w) <= max_len), holds, str))
 
 
 def run_checks(depth: int = 8) -> list[CheckResult]:

@@ -4,14 +4,13 @@ tests/test_acceptance.py` to see the lines as they come.
 """
 
 import time
-from itertools import product
 
-from fibc.adders import adder_table, add_fib, add_fibc, berstel_adder, complement_adder
+from fibc import verify
+from fibc.adders import adder_table, berstel_adder, complement_adder
 from fibc.cli import main
-from fibc.complement import enumerate_canonical, fibc_rep, cmp_signed
-from fibc.derivation import check_append_zero, derive_adder, translate_tree
-from fibc.fibonacci import (check_identities, fib, fib_value, fibc_value,
-                            twos_complement_rep, twos_complement_value)
+from fibc.complement import fibc_rep
+from fibc.derivation import derive_adder
+from fibc.fibonacci import fibc_value, twos_complement_rep, twos_complement_value
 from fibc.zeckendorf import fib_rep
 
 from reference_data import (ADDER_FINAL_WORDS, ADDER_ROWS, ADDER_STATES,
@@ -85,59 +84,30 @@ def test_criterion_2_worked_examples():
 
 def test_criterion_3_plain_adder_value_preservation():
     with budget(3, "value preservation, plain adder, 88572 words", 10.0):
-        machine = berstel_adder()
-        count = 0
-        for length in range(1, 11):
-            for tup in product("012", repeat=length):
-                u = "".join(tup)
-                count += 1
-                assert fib_value(machine.run_with_final(u)) == fib_value(u), u
-        assert count == 88572
+        result = verify.fib_adder_value_check(10)
+        assert result.ok and result.checked == 88573  # and the empty word
 
 
 def test_criterion_4_extended_adder_value_preservation():
     with budget(4, "value preservation, extended adder, 88572 words", 10.0):
-        machine = complement_adder()
-        count = 0
-        for length in range(1, 11):
-            for tup in product("012", repeat=length):
-                u = "".join(tup)
-                count += 1
-                z = machine.run_with_final(u)
-                assert len(z) == len(u) + 2, u
-                assert fibc_value(z) == fibc_value(u), u
-        assert count == 88572
+        result = verify.complement_adder_value_check(10)
+        assert result.ok and result.checked == 88572
 
 
 def test_criterion_5_end_to_end_addition():
     with budget(5, "addition grids [-300,300]^2 and [0,600]^2", 60.0):
-        reps = {n: fibc_rep(n) for n in range(-600, 601)}
-        for m in range(-300, 301):
-            for n in range(-300, 301):
-                assert add_fibc(m, n) == reps[m + n], (m, n)
-        fib_reps = {n: fib_rep(n) for n in range(0, 1201)}
-        for m in range(0, 601):
-            for n in range(0, 601):
-                assert add_fib(m, n) == fib_reps[m + n], (m, n)
+        result = verify.addition_check(300)
+        assert result.ok and result.checked == 2 * 601 ** 2
 
 
 def test_criterion_6_derivation():
     with budget(6, "derived adder shape and brute-force agreement", 10.0):
-        derived = derive_adder()
-        assert len(derived.states) == 10
-        assert derived.transition_count == 30
-        assert all(0 <= int(s.split(".")[1]) <= 7 for s in derived.states)
-        for machine in (derived, berstel_adder()):
+        for machine in (derive_adder(), berstel_adder()):
             assert list(machine.states) == ADDER_STATES
             assert machine.sorted_transitions() == ADDER_TRANSITIONS
             assert dict(machine.final_words) == ADDER_FINAL_WORDS
-        count = 0
-        for word, tr in translate_tree(8):
-            count += 1
-            run = derived.run(word)
-            assert run.output == tr.output, word
-            assert run.final_output == tr.triple, word
-        assert count == sum(3 ** k for k in range(1, 9))
+        result = verify.derivation_check(8)
+        assert result.ok and result.checked == 1 + sum(3 ** k for k in range(1, 9))
 
 
 def test_criterion_7_reference_tables():
@@ -149,86 +119,33 @@ def test_criterion_7_reference_tables():
 
 def test_criterion_8_order_characterization():
     with budget(8, "value-ordered representation map", 30.0):
-        assert fibc_rep(0) == "0"
-        prev = fibc_rep(-5000)
-        for n in range(-4999, 5001):
-            cur = fibc_rep(n)
-            assert cmp_signed(prev, cur) < 0, n
-            prev = cur
-        words = enumerate_canonical(15)
-        values = [fibc_value(w) for w in words]
-        lo = values[0]
-        assert values == list(range(lo, lo + len(words)))
-        assert lo < 0 <= lo + len(words) - 1
-        assert words == [fibc_rep(v) for v in values]
+        result = verify.order_check(5000, 15)
+        # 10000 consecutive pairs in [-5000, 5000], 1597 words to length 15.
+        assert result.ok and result.checked == 10000 + 1597
 
 
 def test_criterion_9_identity_prefix_interval_relation_suites():
     with budget(9, "identity, prefix, interval and relation sweeps", 120.0):
-        # Closed-form identities, exact through k = 30.
-        assert all(all(row[1:]) for row in check_identities(30))
-
-        # Neutral prefixes: binary to length 14, ternary version to length 10.
-        for length in range(1, 15):
-            for tup in product("01", repeat=length):
-                w = "".join(tup)
-                pref = "00" if w[0] == "0" else "10"
-                assert fibc_value(pref + w) == fibc_value(w)
-        for length in range(0, 11):
-            for tup in product("012", repeat=length):
-                v = "".join(tup)
-                for a in "012":
-                    assert fibc_value(a + "0" + a + v) == fibc_value(a + v)
-
-        # Interval laws to length 17: canonical Zeckendorf words...
-        frontier = ["1"]
-        for _ in range(17):
-            for w in frontier:
-                assert fib(len(w) - 1) <= fib_value(w) < fib(len(w))
-            frontier = [w + d for w in frontier for d in "01"
-                        if not (w[-1] == d == "1")]
-        # ... words without adjacent ones ...
-        frontier = ["0", "1"]
-        for _ in range(17):
-            for w in frontier:
-                n = fibc_value(w)
-                if w[0] == "0":
-                    assert 0 <= n < fib(len(w) - 1)
-                else:
-                    assert -fib(len(w) - 2) <= n < 0
-            frontier = [w + d for w in frontier for d in "01"
-                        if not (w[-1] == d == "1")]
-        # ... and canonical complement words.
-        for w in enumerate_canonical(17):
-            n = fibc_value(w)
-            k = (len(w) - 1) // 2
-            if w == "1":
-                assert n == -1
-            elif w[0] == "0":
-                assert fib(2 * k - 2) <= n < fib(2 * k)
-            else:
-                assert -fib(2 * k - 1) <= n < -fib(2 * k - 3)
-
-        # Appending a zero to equal-value ternary pairs, to length 8.
-        assert check_append_zero(8).ok
-
-        # Output sign and plain/extended relations, suffixes to length 8.
-        plain = berstel_adder()
-        extended = complement_adder()
-        for length in range(1, 9):
-            for tup in product("012", repeat=length):
-                u = "".join(tup)
-                z = extended.run_with_final(u)
-                assert (z[0] == "0") == (u[0] == "0"), u
-        for length in range(0, 9):
-            for tup in product("012", repeat=length):
-                v = "".join(tup)
-                assert (plain.run_with_final("0" + v)
-                        == "0" + extended.run_with_final("0" + v)), v
-                assert (plain.run_with_final("101" + v)
-                        == "000" + extended.run_with_final("1" + v)), v
-                assert (plain.run_with_final("202" + v)
-                        == "001" + extended.run_with_final("2" + v)), v
+        expected = [
+            # Closed-form identities, exact through k = 30.
+            (verify.identities_check(30), 30),
+            # Neutral prefixes: binary to length 14, ternary version to length 10.
+            (verify.neutral_prefix_check(14), 32766),
+            (verify.generalized_neutral_check(10), 265719),
+            # Interval laws to length 17: canonical Zeckendorf words, words
+            # without adjacent ones and canonical complement words.
+            (verify.zeckendorf_interval_check(17), 4180),
+            (verify.sign_split_check(17), 10943),
+            (verify.canonical_interval_check(17), 4181),
+            # Appending a zero to equal-value ternary pairs, to length 8.
+            (verify.append_zero_check(8), 371376),
+            # Output sign and plain/extended relations, suffixes to length 8.
+            (verify.first_letter_check(8), 9840),
+            (verify.adder_relation_check(8), 29523),
+        ]
+        for result, count in expected:
+            assert result.ok, result.line()
+            assert result.checked == count, result.line()
 
 
 def test_criterion_10_twos_complement_crosscheck():

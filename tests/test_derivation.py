@@ -3,10 +3,10 @@ from itertools import product
 import pytest
 
 from fibc.adders import berstel_adder
-from fibc.derivation import (CarryRangeError, CarryState, TRIPLES,
-                             check_append_zero, derive_adder, step,
-                             translate_tree, translate_word)
+from fibc.derivation import (CarryRangeError, CarryState, TRIPLES, derive_adder,
+                             step, translate_tree, translate_word)
 from fibc.fibonacci import fib_value
+from fibc.verify import append_zero_check
 
 from reference_data import ADDER_FINAL_WORDS, ADDER_STATES, ADDER_TRANSITIONS
 
@@ -74,8 +74,9 @@ def test_step_rejects_bad_input():
         step(CarryState("000", 9), "0")
     with pytest.raises(ValueError):
         step(CarryState("011", 0), "0")
-    with pytest.raises(ValueError):
-        step(CarryState("000", 0), "3")
+    for symbol in ("3", "", "01"):
+        with pytest.raises(ValueError):
+            step(CarryState("000", 0), symbol)
 
 
 def test_step_range_violation_on_unreachable_class():
@@ -140,13 +141,5 @@ def test_append_zero_spot_cases():
 
 
 def test_append_zero_exhaustive():
-    report = check_append_zero(8)
-    assert report.ok
-    assert all(count > 0 for count in report.pairs_checked)
-
-
-def test_append_zero_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        check_append_zero(10)
-    with pytest.raises(ValueError):
-        check_append_zero(0)
+    result = append_zero_check(8)
+    assert result.ok and result.checked == 371376

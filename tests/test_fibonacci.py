@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from fibc.fibonacci import (check_identities, fib, fib_value, fibc_value,
-                            twos_complement_rep, twos_complement_value)
+from fibc.fibonacci import (fib, fib_value, fibc_value, twos_complement_rep,
+                            twos_complement_value)
+from fibc.verify import identities_check
 
 
 def test_fib_small_values():
@@ -133,21 +134,14 @@ def test_twos_complement_neutral_prefixes():
 
 
 def test_identities_hand_checked_at_k1():
-    row = check_identities(1)[0]
-    assert row.k == 1
     # 1*3 - 2*2 == -1 == -F(0); 1 + 2 == F(3) - 2; 1 + 4 == F(0) * F(3)
-    assert row.alternating_sum and row.partial_sum and row.square_sum
+    result = identities_check(1)
+    assert result.ok and result.checked == 1
 
 
 def test_identities_exact_to_k30():
-    rows = check_identities(30)
-    assert len(rows) == 30
-    assert all(r.alternating_sum and r.partial_sum and r.square_sum for r in rows)
-
-
-def test_identities_reject_bad_k():
-    with pytest.raises(ValueError):
-        check_identities(0)
+    result = identities_check(30)
+    assert result.ok and result.checked == 30
 
 
 def test_square_sum_sequence_values():

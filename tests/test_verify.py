@@ -1,20 +1,26 @@
-from fibc.adders import berstel_adder
+import json
+from pathlib import Path
+
+from fibc.adders import berstel_adder, complement_adder
 from fibc.mealy import MealyMachine
 from fibc import verify
 
+SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
 
-def corrupted_adder():
-    """The plain adder with a single transition rerouted."""
-    m = berstel_adder()
-    transitions = []
-    for src, a, out, dst in m.sorted_transitions():
-        if (src, a) == ("010.4", "1"):
-            dst = "001.2"  # correct target is 000.0
-        transitions.append((src, a, out, dst))
+
+def rerouted(m, src, a, dst):
+    """m with the transition from src on a sent to dst instead."""
+    transitions = [(s, b, out, dst if (s, b) == (src, a) else d)
+                   for s, b, out, d in m.sorted_transitions()]
     return MealyMachine.build(
         states=m.states, initial=m.initial, transitions=transitions,
         final_words=dict(m.final_words),
     )
+
+
+def corrupted_adder():
+    """The plain adder with a single transition rerouted."""
+    return rerouted(berstel_adder(), "010.4", "1", "001.2")  # correct target is 000.0
 
 
 def test_all_checks_pass_at_small_depth():
@@ -45,3 +51,23 @@ def test_check_lines_are_printable():
         line = result.line()
         assert result.name in line
         assert line.startswith("ok") or line.startswith("FAIL")
+
+
+def test_corrupted_extended_adder_is_caught_at_first_counterexample():
+    # The correct target of ("start", "1") is 101.7; the word "1" is the
+    # second one swept, after "0".
+    broken = rerouted(complement_adder(), "start", "1", "000.0")
+    for check in (verify.complement_adder_value_check, verify.first_letter_check):
+        result = check(4, machine=broken)
+        assert not result.ok
+        assert result.detail == "counterexample 1"
+        assert result.checked == 2
+
+
+def test_battery_counts_match_the_benchmark_pins():
+    spec = json.loads(SPEC.read_text())
+    results = verify.run_checks(spec["verify_depth"])
+    assert all(r.ok for r in results), [r.line() for r in results if not r.ok]
+    assert [(r.name, r.checked) for r in results] == [
+        (name, count) for _, name, count in spec["verify_checks"]]
+    assert all(callable(getattr(verify, fn)) for fn, _, _ in spec["verify_checks"])
