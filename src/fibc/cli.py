@@ -164,8 +164,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    for word in enumerate_canonical(args.max_len):
-        print(f"{word}\t{fibc_value(word)}")
+    words = enumerate_canonical(args.max_len)
+    low = fibc_value(words[0])  # the words represent a contiguous interval
+    for i, word in enumerate(words):
+        print(f"{word}\t{low + i}")
     return 0
 
 

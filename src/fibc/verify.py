@@ -52,9 +52,13 @@ def _zeckendorf_words(max_len: int) -> Iterator[str]:
     return (w for w in complement._no_11_words(max_len) if w[0] == "1")
 
 
-def _canonical_words(max_len: int) -> list[str]:
-    """Canonical complement words to the largest odd length <= max_len."""
-    odd = max_len if max_len % 2 else max_len - 1
+def _odd(max_len: int) -> int:
+    """The largest odd length <= max_len: canonical words have odd length."""
+    return max_len if max_len % 2 else max_len - 1
+
+
+def _canonical_words(odd: int) -> list[str]:
+    """Canonical complement words to the odd length `odd` (none below 1)."""
     return complement.enumerate_canonical(odd) if odd >= 1 else []
 
 
@@ -130,6 +134,7 @@ def complement_roundtrip_check(radius: int, max_len: int) -> CheckResult:
         w = complement.fibc_rep(n)
         return complement.is_canonical(w) and fibonacci.fibc_value(w) == n
 
+    max_len = _odd(max_len)
     return _sweep(
         "complement round trip", f"integers to +-{radius}, words to length {max_len}",
         (range(-radius, radius + 1), holds, "n={}".format),
@@ -187,8 +192,7 @@ def canonical_interval_check(max_len: int) -> CheckResult:
             return fib(2 * k - 2) <= n < fib(2 * k)
         return -fib(2 * k - 1) <= n < -fib(2 * k - 3)
 
-    if max_len % 2 == 0:
-        max_len -= 1
+    max_len = _odd(max_len)
     return _sweep("canonical value intervals", f"canonical words to length {max_len}",
                   (_canonical_words(max_len), holds, str))
 
@@ -264,8 +268,7 @@ def order_check(radius: int, max_len: int) -> CheckResult:
     """Representations sort by value under the signed word order, and the
     words up to a given length are exactly an integer interval."""
     rep = complement.fibc_rep
-    if max_len % 2 == 0:
-        max_len -= 1
+    max_len = _odd(max_len)
     name = "value-ordered representations"
     if rep(0) != "0":
         return CheckResult(name, False, 0, "counterexample rep(0)")

@@ -4,18 +4,53 @@ A canonical word has no "11" factor and no leading zero; the empty word
 represents 0.  fib_rep and fib_value are mutually inverse between canonical
 words and the nonnegative integers, and fib_rep is increasing for the radix
 order (shorter first, then lexicographic).
+
+fib_rep writes the digits at positions 32 and up by the greedy algorithm and
+reads the low 32 from a table of the Zeckendorf words below F(16), built on
+first use: an n below F(32) costs one bisect and two table reads.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cache
 
-from .fibonacci import _FIBS, _check_word, _extend_to_value
+from .fibonacci import _FIBS, _check_word, _extend_to_value, fib
+
+_LOW = 16  # digits per table word; the table covers the low 2 * _LOW digits
+
+
+@cache
+def _low_table() -> tuple[list[str], list[int], int]:
+    """The Zeckendorf words below F(_LOW) in value order (so words[v] has
+    value v), the value of each followed by _LOW zeros, and F(2 * _LOW).
+
+    The words of length k are "1" + w.zfill(k - 1) for the F(k - 2) words w
+    below F(k - 2).  Built from this recurrence alone, not from fib_rep or
+    complement._no_11_words: the round-trip and order checks compare
+    those with each other, which a shared source would make circular.
+    """
+    words, shifted = [""], [0]
+    for k in range(1, _LOW + 1):
+        m = fib(k - 2)
+        words += ["1" + w.zfill(k - 1) for w in words[:m]]
+        shifted += [fib(k - 1 + _LOW) + s for s in shifted[:m]]
+    return words, shifted, fib(2 * _LOW)
+
+
+def _low_rep(n: int, words: list[str], shifted: list[int]) -> str:
+    """Zeckendorf word of 0 <= n < F(2 * _LOW), from the table."""
+    if n < len(words):
+        return words[n]
+    # The high half is the greatest table word whose shifted value fits.
+    i = bisect_right(shifted, n) - 1
+    return words[i] + words[n - shifted[i]].zfill(_LOW)
 
 
 def fib_rep(n: int) -> str:
     """Canonical Fibonacci word of a nonnegative integer, by the greedy
-    algorithm: repeatedly subtract the largest Fibonacci number that fits.
+    algorithm (repeatedly subtract the largest Fibonacci number that fits)
+    down to position 2 * _LOW, and a table lookup for the digits below it.
 
     >>> fib_rep(0)
     ''
@@ -24,18 +59,20 @@ def fib_rep(n: int) -> str:
     """
     if n < 0:
         raise ValueError(f"no Fibonacci representation for negative {n}")
-    if n == 0:
-        return ""
+    words, shifted, top = _low_table()
+    if n < top:
+        return _low_rep(n, words, shifted)
     _extend_to_value(n)
     k = bisect_right(_FIBS, n) - 1
     digits = []
     rem = n
-    for i in range(k, -1, -1):
+    for i in range(k, 2 * _LOW - 1, -1):
         if _FIBS[i] <= rem:
             rem -= _FIBS[i]
             digits.append("1")
         else:
             digits.append("0")
+    digits.append(_low_rep(rem, words, shifted).zfill(2 * _LOW))
     return "".join(digits)
 
 

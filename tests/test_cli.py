@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from fibc.cli import main
-from fibc.fibonacci import fib
+from fibc.fibonacci import fib, fibc_value
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +187,14 @@ def test_enumerate_command(capsys):
     lines = [line.split("\t") for line in out.strip().splitlines()]
     assert [w for w, _ in lines] == ["100", "1", "0", "001", "010"]
     assert [int(v) for _, v in lines] == [-2, -1, 0, 1, 2]
+
+
+def test_enumerate_prints_each_words_value(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "9")
+    assert code == 0
+    lines = [line.split("\t") for line in out.strip().splitlines()]
+    assert len(lines) == fib(9)
+    assert all(int(v) == fibc_value(w) for w, v in lines)
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):

@@ -108,6 +108,30 @@ def test_twos_complement_round_trip_and_shape():
         assert not w.startswith("00") and not w.startswith("11")
 
 
+def loop_twos_complement_rep(n):
+    """Reference: finds the word width by a search, one shift per bit."""
+    if n >= 0:
+        return "0" if n == 0 else "0" + bin(n)[2:]
+    k = 1
+    while n < -(1 << (k - 1)):
+        k += 1
+    if k == 1:
+        return "1"
+    return "1" + format(n + (1 << (k - 1)), f"0{k - 1}b")
+
+
+def test_twos_complement_rep_matches_loop_reference():
+    for n in range(-5000, 5001):
+        assert twos_complement_rep(n) == loop_twos_complement_rep(n)
+
+
+def test_twos_complement_round_trip_on_huge_negatives():
+    for k in (1, 10, 100, 1000, 20000):
+        w = twos_complement_rep(-10**k)
+        assert twos_complement_value(w) == -10**k
+        assert w.startswith("10")  # shortest: no 11 prefix
+
+
 def test_twos_complement_words_are_unique_per_value():
     # Over all prefix-reduced words up to length 12, values never collide
     # and the representation map picks exactly the word of that value.

@@ -71,3 +71,10 @@ def test_battery_counts_match_the_benchmark_pins():
     assert [(r.name, r.checked) for r in results] == [
         (name, count) for _, name, count in spec["verify_checks"]]
     assert all(callable(getattr(verify, fn)) for fn, _, _ in spec["verify_checks"])
+
+
+def test_complement_round_trip_reports_the_odd_length_it_sweeps():
+    result = verify.complement_roundtrip_check(300, 8)
+    assert result.ok
+    assert result.detail == "integers to +-300, words to length 7"
+    assert result.checked == 601 + 34  # the canonical words to length 7

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibc import complement, fibonacci, zeckendorf
 from fibc.complement import fibc_rep
@@ -19,6 +21,22 @@ def canonical_words(max_len):
         yield from frontier
         frontier = [w + d for w in frontier for d in "01"
                     if not (w[-1] == d == "1")]
+
+
+def greedy_rep(n):
+    """Zeckendorf word of n by the plain greedy algorithm on its own
+    Fibonacci list: the reference for fib_rep's table lookup."""
+    fibs = [1, 2]
+    while fibs[-1] <= n:
+        fibs.append(fibs[-1] + fibs[-2])
+    digits = []
+    for f in reversed(fibs[:-1]):
+        if f <= n:
+            n -= f
+            digits.append("1")
+        else:
+            digits.append("0")
+    return "".join(digits).lstrip("0")  # "" for n = 0
 
 
 def test_rep_examples():
@@ -44,6 +62,25 @@ def test_is_zeckendorf():
     assert is_zeckendorf("")
     with pytest.raises(ValueError):
         is_zeckendorf("121")
+
+
+def test_rep_matches_greedy_exhaustive():
+    for n in range(200000):
+        assert fib_rep(n) == greedy_rep(n)
+
+
+def test_rep_matches_greedy_at_fibonacci_seams():
+    # Covers the seam between one table word and two at F(16) and the one
+    # between the table and the greedy high digits at F(32).
+    for k in range(49):
+        for n in range(max(0, fib(k) - 64), fib(k) + 65):
+            assert fib_rep(n) == greedy_rep(n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=10**630))
+def test_rep_matches_greedy_on_huge_n(n):
+    assert fib_rep(n) == greedy_rep(n)
 
 
 def test_round_trip_on_integers():
@@ -147,7 +184,8 @@ def test_conversion_cost_independent_of_cache_history(monkeypatch):
         return fibs.reads
 
     bound = 2 * (20000).bit_length()
-    for call in (lambda: fib_rep(10**6), lambda: fibc_rep(-(10**6))):
+    # Both operands lie above F(32): below it fib_rep reads only its table.
+    for call in (lambda: fib_rep(10**12), lambda: fibc_rep(-(10**12))):
         fresh, grown = reads(call, False), reads(call, True)
         assert fresh > 0
         assert abs(grown - fresh) <= bound
