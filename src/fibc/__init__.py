@@ -10,15 +10,14 @@ the signed representation map monotone.
 
 from .adders import (add_fib, add_fibc, add_words, adder_table, berstel_adder,
                      complement_adder, sub_fibc)
-from .complement import (canonicalize, cmp_reversed_radix, cmp_signed,
-                         enumerate_canonical, fibc_rep, fibc_rep_pair,
-                         is_canonical, neutral_prefix, pad_words, sum_words)
+from .complement import (canonicalize, cmp_signed, enumerate_canonical,
+                         fibc_rep, is_canonical, neutral_prefix, pad_words,
+                         sum_words)
 from .derivation import CarryState, derive_adder, step, translate_word
 from .fibonacci import (fib, fib_value, fibc_value, twos_complement_rep,
                         twos_complement_value)
 from .mealy import MealyMachine, MissingTransitionError, RunResult, TraceStep
-from .zeckendorf import (cmp_radix, fib_rep, is_zeckendorf, normalize_fib,
-                         radix_key)
+from .zeckendorf import cmp_radix, fib_rep, is_zeckendorf, normalize_fib
 
 __version__ = "0.1.0"
 
@@ -26,10 +25,10 @@ __all__ = [
     "MealyMachine", "MissingTransitionError", "RunResult", "TraceStep",
     "CarryState",
     "add_fib", "add_fibc", "add_words", "adder_table", "berstel_adder", "canonicalize",
-    "cmp_radix", "cmp_reversed_radix", "cmp_signed", "complement_adder", "derive_adder",
+    "cmp_radix", "cmp_signed", "complement_adder", "derive_adder",
     "enumerate_canonical", "fib", "fib_rep", "fib_value", "fibc_rep",
-    "fibc_rep_pair", "fibc_value", "is_canonical", "is_zeckendorf",
-    "neutral_prefix", "normalize_fib", "pad_words", "radix_key", "step",
+    "fibc_value", "is_canonical", "is_zeckendorf",
+    "neutral_prefix", "normalize_fib", "pad_words", "step",
     "sub_fibc", "sum_words", "translate_word", "twos_complement_rep",
     "twos_complement_value",
 ]

@@ -52,8 +52,6 @@ def complement_adder() -> MealyMachine:
         initial=START,
         transitions=transitions,
         final_words=final_words,
-        input_alphabet="012",
-        output_alphabet="01",
     )
 
 
@@ -140,15 +138,13 @@ class TableRow(NamedTuple):
     fibc_out_val: int
 
 
-def adder_table(max_len: int = 3) -> list[TableRow]:
-    """Rows for every ternary word of length 1..max_len in radix order;
-    the default covers the 39 words of length up to three.
-    """
+def adder_table() -> list[TableRow]:
+    """Rows for the 39 ternary words of length 1 to 3, in radix order."""
     fib_machine = berstel_adder()
     fibc_machine = complement_adder()
     rows = []
     words = [""]
-    for _ in range(max_len):
+    for _ in range(3):
         words = [w + d for w in words for d in "012"]
         for word in words:
             fib_run = fib_machine.run(word)

@@ -57,9 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("add", "add two integers through the transducer"),
                             ("sub", "subtract two integers through the transducer")):
         p = sub.add_parser(name, help=help_text)
-        default = "fibc" if name == "sub" else None
-        p.add_argument("--system", choices=("fib", "fibc"),
-                       required=name == "add", default=default)
+        systems = ("fib", "fibc") if name == "add" else ("fibc",)
+        p.add_argument("--system", choices=systems, required=name == "add",
+                       default="fibc")
         p.add_argument("--trace", action="store_true",
                        help="show the state-by-state path")
         p.add_argument("a")
@@ -207,8 +207,6 @@ def _main(argv: list[str] | None) -> int:
         if args.command == "add":
             return _cmd_add(args)
         if args.command == "sub":
-            if args.system == "fib":
-                parser.error("sub supports --system fibc only")
             return _cmd_add(args, negate_b=True)
         if args.command == "table":
             return _cmd_table(args)

@@ -88,15 +88,6 @@ def _pad(*words: str) -> tuple[str, ...]:
                  for w in words)
 
 
-def fibc_rep_pair(a: int, b: int) -> tuple[str, str]:
-    """Equal-length representation of a pair of integers.
-
-    >>> fibc_rep_pair(-1, -9)
-    ('1010101', '1000101')
-    """
-    return _pad(fibc_rep(a), fibc_rep(b))  # type: ignore[return-value]
-
-
 def sum_words(u: str, v: str) -> str:
     """Digit-wise sum of two canonical words after padding; ternary output.
 
@@ -156,15 +147,6 @@ def _canonical(z: str, lead: str, k: int) -> str:
             return w[i:]
         z = z[1:].lstrip("0")  # the top digit of z weighs F(k)
     return ("00" if len(z) % 2 else "0") + z
-
-
-def cmp_reversed_radix(u: str, v: str) -> int:
-    """Reversed-radix comparison: longer words first, ties lexicographic."""
-    if len(u) != len(v):
-        return -1 if len(u) > len(v) else 1
-    if u == v:
-        return 0
-    return -1 if u < v else 1
 
 
 def signed_key(w: str) -> tuple[int, int, str]:

@@ -155,6 +155,4 @@ def derive_adder() -> MealyMachine:
         initial=start.name,
         transitions=transitions,
         final_words={s.name: s.triple for s in order},
-        input_alphabet="012",
-        output_alphabet="01",
     )

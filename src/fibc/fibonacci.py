@@ -83,7 +83,6 @@ def fibc_value(w: str) -> int:
     """
     if not w:
         raise ValueError("complement value of the empty word is undefined")
-    _check_word(w, "012", "ternary")
     lead = ord(w[0]) - 48
     return fib_value(w) - lead * fib(len(w))
 

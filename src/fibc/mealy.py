@@ -76,14 +76,12 @@ class MealyMachine:
         initial: str,
         transitions: Iterable[tuple[str, str, str, str]],
         final_words: dict[str, str],
-        input_alphabet: Iterable[str] | None = None,
-        output_alphabet: Iterable[str] | None = None,
     ) -> "MealyMachine":
         """Validate and assemble a machine from (src, input, output, dst)
-        transition tuples; unreachable states are pruned.
+        transition tuples; unreachable states are pruned.  Both alphabets
+        are read off the transitions and final words.
         """
-        declared = list(dict.fromkeys(states))
-        known = set(declared)
+        known = set(states)
         if initial not in known:
             raise ValueError(f"initial state {initial!r} not among the states")
 
@@ -101,12 +99,7 @@ class MealyMachine:
                     f"nondeterministic: duplicate transition from {src!r} on {symbol!r}"
                 )
             delta[(src, symbol)] = (dst, output)
-
-        inputs = (sorted(dict.fromkeys(input_alphabet)) if input_alphabet is not None
-                  else sorted({a for (_, a) in delta}))
-        for (_, a) in delta:
-            if a not in inputs:
-                raise ValueError(f"transition input {a!r} outside declared alphabet")
+        inputs = sorted({a for (_, a) in delta})
 
         # Prune to the part reachable from the initial state, in BFS order.
         order = [initial]
@@ -127,18 +120,8 @@ class MealyMachine:
             if s not in final_words:
                 raise ValueError(f"no final output declared for state {s!r}")
             phi[s] = final_words[s]
-
-        outputs = (sorted(dict.fromkeys(output_alphabet)) if output_alphabet is not None
-                   else sorted({c for (_, out) in delta.values() for c in out}
-                               | {c for w in phi.values() for c in w}))
-        for (_, out) in delta.values():
-            for c in out:
-                if c not in outputs:
-                    raise ValueError(f"transition output {out!r} outside declared alphabet")
-        for w in phi.values():
-            for c in w:
-                if c not in outputs:
-                    raise ValueError(f"final output {w!r} outside declared alphabet")
+        outputs = sorted({c for (_, out) in delta.values() for c in out}
+                         | {c for w in phi.values() for c in w})
 
         return cls(
             states=tuple(order),
@@ -230,69 +213,3 @@ class MealyMachine:
             "phi": {s: self.final_words[s] for s in self.states},
         }
         return json.dumps(doc, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "MealyMachine":
-        doc = json.loads(text)  # JSONDecodeError carries line/column
-        if not isinstance(doc, dict):
-            raise ValueError("machine document must be a JSON object")
-        for key in ("states", "initial", "input_alphabet", "output_alphabet",
-                    "transitions", "phi"):
-            if key not in doc:
-                raise ValueError(f"machine document is missing key {key!r}")
-        try:
-            transitions = [
-                (t["from"], t["input"], t["output"], t["to"])
-                for t in doc["transitions"]
-            ]
-            return cls.build(
-                states=doc["states"],
-                initial=doc["initial"],
-                transitions=transitions,
-                final_words=dict(doc["phi"]),
-                input_alphabet=doc["input_alphabet"],
-                output_alphabet=doc["output_alphabet"],
-            )
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed machine document: {exc}") from exc
-
-    def isomorphic_to(self, other: "MealyMachine") -> bool:
-        """True iff some state renaming maps this machine onto the other,
-        fixing the initial state and preserving transitions, outputs and
-        final words.  Both machines keep only reachable states, so a single
-        synchronized traversal from the initial pair decides this.
-        """
-        if set(self.input_alphabet) != set(other.input_alphabet):
-            return False
-        if set(self.output_alphabet) != set(other.output_alphabet):
-            return False
-        if len(self.states) != len(other.states):
-            return False
-        if self.final_words[self.initial] != other.final_words[other.initial]:
-            return False
-        pair = {self.initial: other.initial}
-        reverse = {other.initial: self.initial}
-        queue = deque([(self.initial, other.initial)])
-        while queue:
-            s, t = queue.popleft()
-            for a in self.input_alphabet:
-                mine = self.transitions.get((s, a))
-                theirs = other.transitions.get((t, a))
-                if (mine is None) != (theirs is None):
-                    return False
-                if mine is None:
-                    continue
-                (s2, out_s), (t2, out_t) = mine, theirs
-                if out_s != out_t:
-                    return False
-                if s2 in pair or t2 in reverse:
-                    if pair.get(s2) != t2 or reverse.get(t2) != s2:
-                        return False
-                    continue
-                if self.final_words[s2] != other.final_words[t2]:
-                    return False
-                pair[s2] = t2
-                reverse[t2] = s2
-                queue.append((s2, t2))
-        return len(pair) == len(self.states)
-

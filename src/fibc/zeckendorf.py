@@ -97,11 +97,6 @@ def cmp_radix(u: str, v: str) -> int:
     return -1 if u < v else 1
 
 
-def radix_key(w: str) -> tuple[int, str]:
-    """Sort key realizing the radix order."""
-    return (len(w), w)
-
-
 def normalize_fib(w: str) -> str:
     """Canonical word with the same Fibonacci value as a ternary word.
 

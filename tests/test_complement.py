@@ -2,9 +2,8 @@ from itertools import product
 
 import pytest
 
-from fibc.complement import (canonicalize, cmp_reversed_radix, cmp_signed,
-                             enumerate_canonical, fibc_rep, fibc_rep_pair,
-                             is_canonical, neutral_prefix, pad_words,
+from fibc.complement import (canonicalize, cmp_signed, enumerate_canonical,
+                             fibc_rep, is_canonical, neutral_prefix, pad_words,
                              signed_key, sum_words)
 from fibc.fibonacci import fib, fibc_value
 
@@ -112,12 +111,6 @@ def test_pad_words_preserves_values():
             assert fibc_value(pb) == b
 
 
-def test_rep_pair():
-    assert fibc_rep_pair(-1, -9) == ("1010101", "1000101")
-    assert fibc_rep_pair(0, 0) == ("0", "0")
-    assert fibc_rep_pair(1, -2) == ("001", "100")
-
-
 def test_sum_words():
     assert sum_words("1", "1000101") == "2010202"
     assert sum_words("0", "0") == "0"
@@ -182,13 +175,6 @@ def test_canonical_interval_law():
             assert fib(2 * k - 2) <= n < fib(2 * k)
         else:
             assert -fib(2 * k - 1) <= n < -fib(2 * k - 3)
-
-
-def test_cmp_reversed_radix():
-    assert cmp_reversed_radix("100", "1") < 0
-    assert cmp_reversed_radix("10000", "10010") < 0
-    assert cmp_reversed_radix("1", "1") == 0
-    assert cmp_reversed_radix("1", "100") > 0
 
 
 def test_cmp_signed():

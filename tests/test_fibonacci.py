@@ -70,7 +70,7 @@ def test_fibc_value_examples():
 def test_fibc_value_rejects_empty_and_bad():
     with pytest.raises(ValueError):
         fibc_value("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid digit"):
         fibc_value("12x")
 
 

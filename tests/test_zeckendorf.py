@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from fibc import complement, fibonacci, zeckendorf
 from fibc.complement import fibc_rep
 from fibc.fibonacci import fib, fib_value
-from fibc.zeckendorf import (cmp_radix, fib_rep, is_zeckendorf, normalize_fib,
-                             radix_key)
+from fibc.zeckendorf import cmp_radix, fib_rep, is_zeckendorf, normalize_fib
 
 from reference_data import ZECKENDORF_WORDS
 
@@ -118,13 +117,6 @@ def test_rep_is_radix_increasing():
         cur = fib_rep(n)
         assert cmp_radix(prev, cur) < 0
         prev = cur
-
-
-def test_radix_key_agrees_with_cmp():
-    words = ["", "1", "10", "01", "11", "100", "0", "101010"]
-    ordered = sorted(words, key=radix_key)
-    for a, b in zip(ordered, ordered[1:]):
-        assert cmp_radix(a, b) <= 0
 
 
 def test_normalize_examples():
