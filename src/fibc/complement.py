@@ -30,6 +30,20 @@ def is_canonical(w: str) -> bool:
             and not w.startswith("101"))
 
 
+def _odd_fibs(count: int) -> tuple[int, ...]:
+    """F(1), F(3), ..., F(2 * count - 1), by the two-term recurrence alone:
+    building them through fib() would grow the shared cache at import."""
+    a, b = 1, 2  # F(0), F(1)
+    odd = []
+    for _ in range(count):
+        odd.append(b)
+        a, b = a + b, a + 2 * b  # F(2i), F(2i+1) -> F(2i+2), F(2i+3)
+    return tuple(odd)
+
+
+_ODD_FIBS = _odd_fibs(16)  # F(1), F(3), ..., F(31)
+
+
 def fibc_rep(n: int) -> str:
     """Canonical complement word of any integer.
 
@@ -47,9 +61,15 @@ def fibc_rep(n: int) -> str:
     if n > 0:
         w = fib_rep(n)
         return ("00" if len(w) % 2 else "0") + w
-    _extend_to_value(-n)
-    j = bisect_left(_FIBS, -n) | 1  # least odd j = 2k-1 with F(j) >= -n
-    w = fib_rep(fib(j) + n)
+    # j = 2k-1 is the least odd index with F(j) >= -n
+    if -n <= _ODD_FIBS[-1]:
+        i = bisect_left(_ODD_FIBS, -n)
+        j, top = 2 * i + 1, _ODD_FIBS[i]
+    else:
+        _extend_to_value(-n)
+        j = bisect_left(_FIBS, -n) | 1
+        top = fib(j)
+    w = fib_rep(top + n)
     return "1" + "0" * (j + 1 - len(w)) + w
 
 
@@ -63,29 +83,29 @@ def neutral_prefix(w: str) -> str:
     return "00" if w[0] == "0" else "10"
 
 
-def pad_words(*words: str) -> tuple[str, ...]:
-    """Pad canonical words to a common length with their neutral prefixes.
+def pad_words(u: str, v: str) -> tuple[str, str]:
+    """Pad two canonical words to a common length with their neutral
+    prefixes.
 
-    Every input must be canonical (odd length), so each deficit is even and
-    is filled by whole copies of the word's neutral prefix.  Values are
+    Both words must be canonical (odd length), so the shorter one's deficit
+    is even and is filled by whole copies of its neutral prefix.  Values are
     preserved componentwise.
 
     >>> pad_words("1", "1000101")
     ('1010101', '1000101')
     """
-    for w in words:
+    for w in (u, v):
         if not is_canonical(w):
             raise ValueError(f"cannot pad non-canonical word {w!r}")
-    return _pad(*words)
+    return _pad(u, v)
 
 
-def _pad(*words: str) -> tuple[str, ...]:
+def _pad(u: str, v: str) -> tuple[str, str]:
     """pad_words without the validation, for words known to be canonical."""
-    if not words:
-        return ()
-    k = max(len(w) for w in words)
-    return tuple(("00" if w[0] == "0" else "10") * ((k - len(w)) // 2) + w
-                 for w in words)
+    gap = (len(v) - len(u)) // 2
+    if gap > 0:
+        return ("00" if u[0] == "0" else "10") * gap + u, v
+    return u, ("00" if v[0] == "0" else "10") * -gap + v
 
 
 def sum_words(u: str, v: str) -> str:

@@ -1,13 +1,20 @@
+import subprocess
+import sys
+from bisect import bisect_left
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from fibc import complement, fibonacci, zeckendorf
 from fibc.complement import (canonicalize, cmp_signed, enumerate_canonical,
                              fibc_rep, is_canonical, neutral_prefix, pad_words,
                              signed_key, sum_words)
-from fibc.fibonacci import fib, fibc_value
+from fibc.fibonacci import _extend_to_value, fib, fibc_value
+from fibc.zeckendorf import fib_rep
 
 from reference_data import COMPLEMENT_WORDS
+from test_zeckendorf import CountingList
 
 
 def no_11_words(max_len):
@@ -40,6 +47,48 @@ def test_rep_examples():
 def test_rep_matches_reference_table():
     for n, w in COMPLEMENT_WORDS.items():
         assert fibc_rep(n) == w
+
+
+def negative_rep_by_cache(n):
+    """fibc_rep(n) for n <= -2 the way it was first written: the odd index
+    j found by bisecting the shared Fibonacci cache."""
+    _extend_to_value(-n)
+    j = bisect_left(fibonacci._FIBS, -n) | 1
+    w = fib_rep(fib(j) + n)
+    return "1" + "0" * (j + 1 - len(w)) + w
+
+
+def test_negative_rep_matches_cache_path():
+    # Exhaustive up to 200,000, then around every -F(j) for odd j <= 35,
+    # across the switch at F(31) from the fixed odd table to the cache.
+    for n in range(-200000, -1):
+        assert fibc_rep(n) == negative_rep_by_cache(n)
+    for j in range(1, 36, 2):
+        for n in range(-fib(j) - 64, min(-fib(j) + 65, -1)):
+            assert fibc_rep(n) == negative_rep_by_cache(n)
+
+
+def test_negative_rep_reads_no_cache_up_to_f31(monkeypatch):
+    values = (2, 3, 10, 1000, 10**6, fib(29) + 1, fib(31) - 1, fib(31))
+    expected = [negative_rep_by_cache(-n) for n in values]
+    fib_rep(1)  # builds fib_rep's low table, which reads the cache
+    fibs = CountingList([1, 2])
+    for module in (fibonacci, zeckendorf, complement):
+        monkeypatch.setattr(module, "_FIBS", fibs)
+    assert [fibc_rep(-n) for n in values] == expected
+    assert fibs.reads == 0
+    assert len(fibs) == 2
+
+
+def test_import_and_adders_leave_cache_at_two():
+    src = Path(fibonacci.__file__).resolve().parent.parent
+    code = ("import fibc\n"
+            "from fibc.adders import berstel_adder, complement_adder\n"
+            "berstel_adder(); complement_adder()\n"
+            "print(len(fibc.fibonacci._FIBS))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "2"
 
 
 def test_round_trip_integers():

@@ -1,11 +1,16 @@
 import json
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibc.adders import berstel_adder, complement_adder
 from fibc.derivation import derive_adder
-from fibc.mealy import MealyMachine, MissingTransitionError
+from fibc.mealy import _BLOCK, MealyMachine, MissingTransitionError
+
+from test_large_operands import ternary_words
 
 
 def tiny_machine(**overrides):
@@ -41,6 +46,18 @@ def test_adders_states_and_alphabets():
     for m in (berstel_adder(), complement_adder()):
         assert m.input_alphabet == ("0", "1", "2")
         assert m.output_alphabet == ("0", "1")
+
+
+def test_build_reads_alphabets_after_pruning():
+    # The unreachable state "o" holds the only 2-transition.
+    m = MealyMachine.build(
+        states=["a", "o"], initial="a",
+        transitions=[("a", "0", "0", "a"), ("o", "2", "1", "a")],
+        final_words={"a": "", "o": ""},
+    )
+    assert m.states == ("a",)
+    assert m.input_alphabet == ("0",)
+    assert m.output_alphabet == ("0",)
 
 
 def test_build_rejects_duplicate_transition():
@@ -139,6 +156,66 @@ def test_trace_concatenates_to_run_output():
     for word in ("2220121", "2010202", "0001112", "222222"):
         steps = adder.trace(word)
         assert "".join(s.output for s in steps) == adder.run(word).output
+
+
+def traced_run(machine, word, start):
+    """(output, last state, final word) assembled from the per-symbol trace."""
+    steps = machine.trace(word, start)
+    last = steps[-1].next_state if steps else start
+    return ("".join(s.output for s in steps), last, machine.final_words[last])
+
+
+def test_block_run_matches_trace_exhaustively():
+    # Every ternary word of length <= 8 from every state, each run once with
+    # a cold memo and once with the memo that run left behind.
+    words = ["".join(t) for k in range(9) for t in product("012", repeat=k)]
+    for machine in (berstel_adder(), complement_adder(), derive_adder()):
+        for start in machine.states:
+            for word in words:
+                expected = traced_run(machine, word, start)
+                machine._memo.clear()
+                assert machine.run(word, start) == expected
+                assert machine.run(word, start) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([berstel_adder(), complement_adder()]), ternary_words(),
+       st.data())
+def test_block_run_matches_trace_on_long_words(machine, word, data):
+    start = data.draw(st.sampled_from(machine.states))
+    assert machine.run(word, start) == traced_run(machine, word, start)
+
+
+@pytest.mark.parametrize("position", [0, 3, 6, 13, 19])
+def test_block_run_missing_transition(position):
+    # 20 symbols: three whole blocks, then a two-symbol tail (18, 19).
+    machine = complement_adder()
+    rng = random.Random(position)
+    word = "".join(rng.choice("012") for _ in range(20))
+    bad = word[:position] + "3" + word[position + 1:]
+    with pytest.raises(MissingTransitionError) as expected:
+        machine.trace(bad)
+    machine._memo.clear()
+    with pytest.raises(MissingTransitionError) as err:
+        machine.run(bad)
+    assert (err.value.state, err.value.symbol, err.value.position) == (
+        expected.value.state, "3", position)
+    cut = position - position % _BLOCK
+    if cut + _BLOCK <= len(bad):
+        entry = traced_run(machine, bad[:cut], machine.initial)[1]
+        assert bad[cut:cut + _BLOCK] not in machine._memo.get(entry, {})
+    assert machine.run(word) == traced_run(machine, word, machine.initial)
+
+
+def test_block_run_from_state_without_transitions():
+    m = tiny_machine(transitions=[("a", "0", "0", "a"), ("a", "1", "1", "b")])
+    # "b" has no transitions: each word reaches it, then reads one more 0.
+    for word, position in (("10", 1), ("00000010000000", 7), ("000000001000", 9)):
+        with pytest.raises(MissingTransitionError) as err:
+            m.run(word)
+        assert (err.value.state, err.value.symbol, err.value.position) == (
+            "b", "0", position)
+    assert m.run("000000000001") == ("000000000001", "b", "1")
 
 
 def test_run_composes_across_split_points():
