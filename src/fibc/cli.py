@@ -16,7 +16,6 @@ from . import __version__
 from .adders import (_addition, adder_table, berstel_adder, complement_adder,
                      format_table_csv, format_table_text)
 from .complement import enumerate_canonical, fibc_rep
-from .derivation import derive_adder
 from .fibonacci import (fib_value, fibc_value, twos_complement_rep,
                         twos_complement_value)
 from .mealy import MealyMachine
@@ -32,12 +31,7 @@ def _read_word(text: str) -> str:
     return "" if text == "eps" else text
 
 
-def _machine(which: str) -> MealyMachine:
-    if which == "B":
-        return berstel_adder()
-    if which == "T":
-        return complement_adder()
-    return derive_adder()
+_MACHINES = {"B": berstel_adder, "T": complement_adder}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,11 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("export-machine", help="write a machine as DOT or JSON")
-    p.add_argument("--machine", choices=("B", "T", "Z"), required=True)
+    p.add_argument("--machine", choices=tuple(_MACHINES), required=True)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
     p = sub.add_parser("trace", help="run a machine on a word, step by step")
-    p.add_argument("--machine", choices=("B", "T", "Z"), default="B")
+    p.add_argument("--machine", choices=tuple(_MACHINES), default="B")
     p.add_argument("word")
 
     p = sub.add_parser("enumerate",
@@ -149,15 +143,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_machine(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
+    machine = _MACHINES[args.machine]()
     sys.stdout.write(machine.to_dot() if args.format == "dot" else machine.to_json())
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    machine = _machine(args.machine)
-    _print_trace(machine, args.word, indent="")
-    run = machine.run(args.word)
+    machine = _MACHINES[args.machine]()
+    word = _read_word(args.word)
+    _print_trace(machine, word, indent="")
+    run = machine.run(word)
     print(f"output {_show(run.output)}·{run.final_output}"
           f" (last state {run.last_state})")
     return 0

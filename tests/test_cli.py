@@ -165,7 +165,7 @@ def test_export_machine_dot(capsys):
 
 
 def test_export_derived_machine(capsys):
-    code, out, _ = run_cli(capsys, "export-machine", "--machine", "Z",
+    code, out, _ = run_cli(capsys, "export-machine", "--machine", "B",
                            "--format", "json")
     assert code == 0
     doc = json.loads(out)
@@ -179,6 +179,13 @@ def test_trace_command(capsys):
     assert "start -2/eps-> 100.6" in out
     assert "100.6 -1/1-> 010.3" in out
     assert "1·010" in out
+
+
+@pytest.mark.parametrize("machine, last", [("B", "000.0"), ("T", "start")])
+def test_trace_empty_word(capsys, machine, last):
+    code, out, _ = run_cli(capsys, "trace", "--machine", machine, "eps")
+    assert code == 0
+    assert out == f"output eps·000 (last state {last})\n"
 
 
 def test_enumerate_command(capsys):
@@ -208,16 +215,6 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "FAIL stub sweep" in out and "210" in out
-
-
-def test_export_derived_equals_adder(capsys):
-    for fmt in ("dot", "json"):
-        code_b, out_b, _ = run_cli(capsys, "export-machine", "--machine", "B",
-                                   "--format", fmt)
-        code_z, out_z, _ = run_cli(capsys, "export-machine", "--machine", "Z",
-                                   "--format", fmt)
-        assert code_b == code_z == 0
-        assert out_b == out_z
 
 
 def test_verify_small_depth(capsys):

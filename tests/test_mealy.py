@@ -135,8 +135,7 @@ def test_machines_are_read_only():
 def test_machine_copies_its_tables():
     transitions = {("a", "0"): ("a", "1")}
     final_words = {"a": ""}
-    m = MealyMachine(states=("a",), initial="a", input_alphabet=("0",),
-                     output_alphabet=("1",), transitions=transitions,
+    m = MealyMachine(states=("a",), initial="a", transitions=transitions,
                      final_words=final_words)
     transitions[("a", "0")] = ("a", "")
     final_words["a"] = "1"
@@ -165,17 +164,34 @@ def traced_run(machine, word, start):
     return ("".join(s.output for s in steps), last, machine.final_words[last])
 
 
+def assert_memo_matches_trace(machine):
+    entries = [(state, chunk, hit) for state, row in machine._memo.items()
+               for chunk, hit in row.items()]
+    bound = len(machine.states) * sum(3 ** k for k in range(1, _BLOCK + 1))
+    assert 0 < len(entries) <= bound
+    for state, chunk, (nxt, out) in entries:
+        assert 1 <= len(chunk) <= _BLOCK
+        assert traced_run(machine, chunk, state)[:2] == (out, nxt)
+
+
 def test_block_run_matches_trace_exhaustively():
     # Every ternary word of length <= 8 from every state, each run once with
-    # a cold memo and once with the memo that run left behind.
+    # a cold memo and once with the memo that run left behind; then all of
+    # them again through one memo that accumulates, whose every entry must
+    # match the trace of its chunk.
     words = ["".join(t) for k in range(9) for t in product("012", repeat=k)]
     for machine in (berstel_adder(), complement_adder(), derive_adder()):
+        expected = {}
         for start in machine.states:
             for word in words:
-                expected = traced_run(machine, word, start)
+                expected[start, word] = traced_run(machine, word, start)
                 machine._memo.clear()
-                assert machine.run(word, start) == expected
-                assert machine.run(word, start) == expected
+                assert machine.run(word, start) == expected[start, word]
+                assert machine.run(word, start) == expected[start, word]
+        machine._memo.clear()
+        for (start, word), result in expected.items():
+            assert machine.run(word, start) == result
+        assert_memo_matches_trace(machine)
 
 
 @settings(deadline=None, max_examples=150)
@@ -188,7 +204,7 @@ def test_block_run_matches_trace_on_long_words(machine, word, data):
 
 @pytest.mark.parametrize("position", [0, 3, 6, 13, 19])
 def test_block_run_missing_transition(position):
-    # 20 symbols: three whole blocks, then a two-symbol tail (18, 19).
+    # 20 symbols: three whole chunks, then a two-symbol last chunk (18, 19).
     machine = complement_adder()
     rng = random.Random(position)
     word = "".join(rng.choice("012") for _ in range(20))
@@ -201,10 +217,25 @@ def test_block_run_missing_transition(position):
     assert (err.value.state, err.value.symbol, err.value.position) == (
         expected.value.state, "3", position)
     cut = position - position % _BLOCK
-    if cut + _BLOCK <= len(bad):
-        entry = traced_run(machine, bad[:cut], machine.initial)[1]
-        assert bad[cut:cut + _BLOCK] not in machine._memo.get(entry, {})
+    entry = traced_run(machine, bad[:cut], machine.initial)[1]
+    assert bad[cut:cut + _BLOCK] not in machine._memo.get(entry, {})
     assert machine.run(word) == traced_run(machine, word, machine.initial)
+
+
+def test_warm_run_reads_only_the_memo(monkeypatch):
+    # 13 symbols: two whole chunks, then a one-symbol last chunk.
+    machine = complement_adder()
+    word = "2010202221012"
+    expected = machine.run(word)
+
+    def no_trace(*args):
+        raise AssertionError("trace called on a warm run")
+
+    monkeypatch.setattr(MealyMachine, "trace", no_trace)
+    assert machine.run(word) == expected
+    machine._memo.clear()
+    with pytest.raises(AssertionError, match="warm run"):
+        machine.run(word)
 
 
 def test_block_run_from_state_without_transitions():
