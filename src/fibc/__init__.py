@@ -16,13 +16,13 @@ from .complement import (canonicalize, cmp_signed, enumerate_canonical,
 from .derivation import CarryState, derive_adder, step, translate_word
 from .fibonacci import (fib, fib_value, fibc_value, twos_complement_rep,
                         twos_complement_value)
-from .mealy import MealyMachine, MissingTransitionError, RunResult, TraceStep
+from .mealy import MealyMachine, MissingTransitionError, TraceStep
 from .zeckendorf import cmp_radix, fib_rep, is_zeckendorf, normalize_fib
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MealyMachine", "MissingTransitionError", "RunResult", "TraceStep",
+    "MealyMachine", "MissingTransitionError", "TraceStep",
     "CarryState",
     "add_fib", "add_fibc", "add_words", "adder_table", "berstel_adder", "canonicalize",
     "cmp_radix", "cmp_signed", "complement_adder", "derive_adder",

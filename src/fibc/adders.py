@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .complement import _canonical, _digit_sum, _pad, fibc_rep, is_canonical
 from .derivation import derive_adder
 from .fibonacci import fib_value, fibc_value
-from .mealy import MealyMachine, RunResult
+from .mealy import MealyMachine
 from .zeckendorf import _normalize_binary, fib_rep
 
 START = "start"
@@ -55,13 +55,13 @@ def complement_adder() -> MealyMachine:
     )
 
 
-def _addition(u: str, v: str, signed: bool) -> tuple[str, str, str, RunResult, str]:
+def _addition(u: str, v: str, signed: bool) -> tuple[str, str, str, str, str]:
     """The word-level pipeline behind every addition, for canonical words
     (complement words if `signed`, else Zeckendorf words) that need no
     validation.  Returns its stages: both operands padded to equal length,
-    their digit-wise sum, the adder's run on it, and last the result.  Each
-    stage is linear in the word length; the result comes from the adder's
-    output without a detour through int.
+    their digit-wise sum, the adder's output word on it, and last the
+    result.  Each stage is linear in the word length; the result comes from
+    the adder's output without a detour through int.
     """
     if signed:
         u, v = _pad(u, v)
@@ -69,14 +69,21 @@ def _addition(u: str, v: str, signed: bool) -> tuple[str, str, str, RunResult, s
         width = max(len(u), len(v))
         u, v = u.zfill(width), v.zfill(width)
     total = _digit_sum(u, v)
-    run = (complement_adder() if signed else berstel_adder()).run(total)
-    raw = run.combined
+    raw = (complement_adder() if signed else berstel_adder()).run(total)
     if signed:
         # An odd-length sum gives an odd-length output with its sign digit.
         result = _canonical(_normalize_binary(raw), raw[0], len(raw))
     else:
         result = _normalize_binary(raw)
-    return u, v, total, run, result
+    return u, v, total, raw, result
+
+
+def _run_parts(machine: MealyMachine, word: str) -> tuple[str, str, str]:
+    """A run's output, last state and that state's final word, read off
+    `trace` for display."""
+    steps = machine.trace(word)
+    last = steps[-1].next_state if steps else machine.initial
+    return "".join(s.output for s in steps), last, machine.final_words[last]
 
 
 def add_words(u: str, v: str) -> str:
@@ -147,18 +154,18 @@ def adder_table() -> list[TableRow]:
     for _ in range(3):
         words = [w + d for w in words for d in "012"]
         for word in words:
-            fib_run = fib_machine.run(word)
-            fibc_run = fibc_machine.run(word)
+            fib_out, _, fib_final = _run_parts(fib_machine, word)
+            fibc_out, _, fibc_final = _run_parts(fibc_machine, word)
             rows.append(TableRow(
                 word=word,
                 fib_val=fib_value(word),
-                fib_out=fib_run.output,
-                fib_out_final=fib_run.final_output,
-                fib_out_val=fib_value(fib_run.combined),
+                fib_out=fib_out,
+                fib_out_final=fib_final,
+                fib_out_val=fib_value(fib_out + fib_final),
                 fibc_val=fibc_value(word),
-                fibc_out=fibc_run.output,
-                fibc_out_final=fibc_run.final_output,
-                fibc_out_val=fibc_value(fibc_run.combined),
+                fibc_out=fibc_out,
+                fibc_out_final=fibc_final,
+                fibc_out_val=fibc_value(fibc_out + fibc_final),
             ))
     return rows
 

@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from . import __version__
-from .adders import (_addition, adder_table, berstel_adder, complement_adder,
-                     format_table_csv, format_table_text)
+from .adders import (_addition, _run_parts, adder_table, berstel_adder,
+                     complement_adder, format_table_csv, format_table_text)
 from .complement import enumerate_canonical, fibc_rep
 from .fibonacci import (fib_value, fibc_value, twos_complement_rep,
                         twos_complement_value)
@@ -115,11 +115,11 @@ def _cmd_add(args: argparse.Namespace, negate_b: bool = False) -> int:
     if args.system == "fib":
         if m < 0 or n < 0:
             raise ValueError("the fib system represents nonnegative integers only")
-        u, v, total, run, result = _addition(fib_rep(m), fib_rep(n), signed=False)
+        u, v, total, _, result = _addition(fib_rep(m), fib_rep(n), signed=False)
         machine = berstel_adder()
         value = fib_value(result)
     else:
-        u, v, total, run, result = _addition(fibc_rep(m), fibc_rep(n), signed=True)
+        u, v, total, _, result = _addition(fibc_rep(m), fibc_rep(n), signed=True)
         machine = complement_adder()
         value = fibc_value(result)
 
@@ -130,7 +130,8 @@ def _cmd_add(args: argparse.Namespace, negate_b: bool = False) -> int:
     print(f"  {'sum':>{width}}  {_show(total)}")
     if args.trace:
         _print_trace(machine, total, indent=" " * (width + 4))
-    print(f"  {'raw':>{width}}  {_show(run.output)}·{run.final_output}")
+    output, _, final = _run_parts(machine, total)
+    print(f"  {'raw':>{width}}  {_show(output)}·{final}")
     print(f"= {value:>{width}}  {_show(result)}")
     return 0
 
@@ -152,9 +153,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     machine = _MACHINES[args.machine]()
     word = _read_word(args.word)
     _print_trace(machine, word, indent="")
-    run = machine.run(word)
-    print(f"output {_show(run.output)}·{run.final_output}"
-          f" (last state {run.last_state})")
+    output, last, final = _run_parts(machine, word)
+    print(f"output {_show(output)}·{final} (last state {last})")
     return 0
 
 

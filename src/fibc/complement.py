@@ -48,19 +48,15 @@ def fibc_rep(n: int) -> str:
     """Canonical complement word of any integer.
 
     Nonnegative n prefix the Zeckendorf word with "0" or "00" to reach odd
-    length; negative n below -1 are written 1 0^j z where z is the Zeckendorf
-    word of n + F(2k-1) for the unique k with -F(2k-1) <= n < -F(2k-3).
+    length; negative n are written 1 0^j z, less its leading neutral 10
+    pairs, where z is the Zeckendorf word of n + F(2k-1) for the unique k
+    with -F(2k-1) <= n < -F(2k-3).
 
     >>> fibc_rep(0), fibc_rep(-1), fibc_rep(19), fibc_rep(-10)
     ('0', '1', '0101001', '1000100')
     """
-    if n == 0:
-        return "0"
-    if n == -1:
-        return "1"
-    if n > 0:
-        w = fib_rep(n)
-        return ("00" if len(w) % 2 else "0") + w
+    if n >= 0:
+        return _canonical(fib_rep(n), "0", 0)
     # j = 2k-1 is the least odd index with F(j) >= -n
     if -n <= _ODD_FIBS[-1]:
         i = bisect_left(_ODD_FIBS, -n)
@@ -69,8 +65,7 @@ def fibc_rep(n: int) -> str:
         _extend_to_value(-n)
         j = bisect_left(_FIBS, -n) | 1
         top = fib(j)
-    w = fib_rep(top + n)
-    return "1" + "0" * (j + 1 - len(w)) + w
+    return _canonical(fib_rep(top + n), "1", j)
 
 
 def neutral_prefix(w: str) -> str:
@@ -80,7 +75,7 @@ def neutral_prefix(w: str) -> str:
     if not w:
         raise ValueError("the empty word has no neutral prefix")
     _check_word(w, "01", "binary")
-    return "00" if w[0] == "0" else "10"
+    return w[0] + "0"
 
 
 def pad_words(u: str, v: str) -> tuple[str, str]:
@@ -104,8 +99,8 @@ def _pad(u: str, v: str) -> tuple[str, str]:
     """pad_words without the validation, for words known to be canonical."""
     gap = (len(v) - len(u)) // 2
     if gap > 0:
-        return ("00" if u[0] == "0" else "10") * gap + u, v
-    return u, ("00" if v[0] == "0" else "10") * -gap + v
+        return (u[0] + "0") * gap + u, v
+    return u, (v[0] + "0") * -gap + v
 
 
 def sum_words(u: str, v: str) -> str:
@@ -141,12 +136,9 @@ def canonicalize(w: str) -> str:
         raise ValueError("complement value of the empty word is undefined")
     _check_word(w, "01", "binary")
     if w[0] == "1" and len(w) % 2 == 0:
-        # Neutral prefixes keep parity, so move to odd length first:
-        # -F(k-2) = -F(k-1) + F(k-3) turns 1t into 10 t[0] (t[1]+1) t[2:].
-        if len(w) == 2:
-            return "1" if w == "10" else "0"
-        return _canonical(normalize_fib("10" + w[1] + chr(ord(w[2]) + 1) + w[3:]),
-                          "1", len(w) + 1)
+        # Neutral prefixes keep parity, so move to odd length first: for
+        # w = 1t of length k, fib_value(t) - F(k-2) = fib_value(2t) - F(k+1).
+        return _canonical(normalize_fib("2" + w[1:]), "1", len(w) + 1)
     return _canonical(_normalize_binary(w), w[0], len(w))
 
 

@@ -2,7 +2,8 @@
 
 A machine reads a word left to right, emitting an output word of at most one
 digit per transition, and contributes one extra word (depending on the state
-it stops in) to be concatenated after the regular output.  Machines are
+it stops in) to be concatenated after the regular output.  `run` returns
+that whole word; `trace` gives the path that produced it.  Machines are
 immutable once built, apart from the memo behind `run`, which only caches
 what the transitions determine; states are opaque strings, kept in
 breadth-first discovery order from the initial state so that exports are
@@ -39,17 +40,6 @@ class MissingTransitionError(ValueError):
         self.state = state
         self.symbol = symbol
         self.position = position
-
-
-class RunResult(NamedTuple):
-    output: str       # concatenated per-transition outputs
-    last_state: str
-    final_output: str  # the last state's extra word
-
-    @property
-    def combined(self) -> str:
-        """Output word with the final word appended."""
-        return self.output + self.final_output
 
 
 class TraceStep(NamedTuple):
@@ -141,15 +131,16 @@ class MealyMachine:
     def transition_count(self) -> int:
         return len(self.transitions)
 
-    def run(self, word: str, start: str | None = None) -> RunResult:
-        """Read a word and return (output, last state, final word).
+    def run(self, word: str, start: str | None = None) -> str:
+        """Read a word and return its output with the last state's final
+        word appended; `trace` gives the path that produced it.
 
         The word is read in chunks of `_BLOCK` symbols, the last one possibly
         shorter, each looked up in the machine's memo.  A chunk seen for the
         first time from its state is filled from `trace`, unless it hits a
         missing transition, which is reported at its position in the word
-        and stores nothing.  Running the empty word stays in the start state
-        and emits nothing.
+        and stores nothing.  Running the empty word gives the start state's
+        final word.
         """
         state = self.initial if start is None else start
         if state not in self.final_words:
@@ -171,11 +162,8 @@ class MealyMachine:
                     steps[-1].next_state, "".join(s.output for s in steps))
             state, output = hit
             append(output)
-        return RunResult("".join(pieces), state, self.final_words[state])
-
-    def run_with_final(self, word: str, start: str | None = None) -> str:
-        """Output word with the last state's extra word appended."""
-        return self.run(word, start).combined
+        append(self.final_words[state])
+        return "".join(pieces)
 
     def trace(self, word: str, start: str | None = None) -> list[TraceStep]:
         """Step-by-step path taken while reading a word."""

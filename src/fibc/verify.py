@@ -13,7 +13,7 @@ from itertools import product
 from typing import Iterator, NamedTuple
 
 from . import adders, complement, derivation, fibonacci, zeckendorf
-from .mealy import MealyMachine, RunResult
+from .mealy import MealyMachine
 
 
 class CheckResult(NamedTuple):
@@ -202,7 +202,7 @@ def fib_adder_value_check(max_len: int, machine: MealyMachine | None = None) -> 
     m = machine if machine is not None else adders.berstel_adder()
     val = fibonacci.fib_value
     return _sweep("adder preserves Fibonacci value", f"ternary words to length {max_len}",
-                  (_words("012", max_len, 0), lambda u: val(m.run_with_final(u)) == val(u),
+                  (_words("012", max_len, 0), lambda u: val(m.run(u)) == val(u),
                    lambda u: u or "(empty)"))
 
 
@@ -214,7 +214,7 @@ def complement_adder_value_check(
     m = machine if machine is not None else adders.complement_adder()
 
     def holds(u: str) -> bool:
-        z = m.run_with_final(u)
+        z = m.run(u)
         return len(z) == len(u) + 2 and fibonacci.fibc_value(z) == fibonacci.fibc_value(u)
 
     return _sweep("extended adder preserves complement value",
@@ -227,7 +227,7 @@ def first_letter_check(max_len: int, machine: MealyMachine | None = None) -> Che
     m = machine if machine is not None else adders.complement_adder()
     return _sweep("output sign matches input first digit", f"ternary words to length {max_len}",
                   (_words("012", max_len, 1),
-                   lambda u: (m.run_with_final(u)[0] == "0") == (u[0] == "0"), str))
+                   lambda u: (m.run(u)[0] == "0") == (u[0] == "0"), str))
 
 
 def adder_relation_check(max_len: int) -> CheckResult:
@@ -241,18 +241,16 @@ def adder_relation_check(max_len: int) -> CheckResult:
 
     def holds(case: tuple[str, str]) -> bool:
         p, v = case
-        return (plain.run_with_final(p + v)
-                == prepended[p] + extended.run_with_final(p[-1] + v))
+        return plain.run(p + v) == prepended[p] + extended.run(p[-1] + v)
 
     return _sweep("plain/extended adder relations", f"suffixes to length {max_len}",
                   (((p, v) for v in _words("012", max_len, 0) for p in prepended),
                    holds, "|".join))
 
 
-def addition_check(radius: int, fib_limit: int | None = None) -> CheckResult:
+def addition_check(radius: int) -> CheckResult:
     """End to end: transducer addition agrees with integer addition."""
-    if fib_limit is None:
-        fib_limit = 2 * radius
+    fib_limit = 2 * radius
     reps = {n: complement.fibc_rep(n) for n in range(-2 * radius, 2 * radius + 1)}
     fib_reps = {n: zeckendorf.fib_rep(n) for n in range(0, 2 * fib_limit + 1)}
     return _sweep(
@@ -343,7 +341,8 @@ def derivation_check(max_len: int) -> CheckResult:
 
     def agrees(case: tuple[str, derivation.Translation]) -> bool:
         word, tr = case
-        return derived.run(word) == RunResult(tr.output, f"{tr.triple}.{tr.carry}", tr.triple)
+        return (derived.run(word) == tr.output + tr.triple
+                and derived.trace(word)[-1].next_state == f"{tr.triple}.{tr.carry}")
 
     # The shape counts as one instance, checked before any word.
     return _sweep("derived adder vs brute-force translation",

@@ -111,7 +111,7 @@ def normalize_fib(w: str) -> str:
     if "2" in w:
         from .adders import berstel_adder  # adders imports this module
 
-        w = berstel_adder().run_with_final(w)
+        w = berstel_adder().run(w)
     return _normalize_binary(w)
 
 

@@ -69,17 +69,21 @@ def test_criterion_2_worked_examples():
         plain = berstel_adder()
         extended = complement_adder()
 
-        run = plain.run("2220121")
-        assert run.output == "0101011" and run.final_output == "100"
+        steps = plain.trace("2220121")
+        assert "".join(s.output for s in steps) == "0101011"
+        assert plain.final_words[steps[-1].next_state] == "100"
+        assert plain.run("2220121") == "0101011" + "100"
 
-        run = plain.run("2010202")
-        assert run.output == "0010110" and run.last_state == "100.6"
+        steps = plain.trace("2010202")
+        assert "".join(s.output for s in steps) == "0010110"
+        assert steps[-1].next_state == "100.6"
 
-        combined = extended.run_with_final("2220121")
+        combined = extended.run("2220121")
         assert combined == "110110100" and fibc_value(combined) == 24
 
-        run = extended.run("2010202")
-        assert run.output == "100110" and fibc_value(run.combined) == -10
+        steps = extended.trace("2010202")
+        assert "".join(s.output for s in steps) == "100110"
+        assert fibc_value(extended.run("2010202")) == -10
 
 
 def test_criterion_3_plain_adder_value_preservation():

@@ -40,24 +40,26 @@ def test_worked_path_sum_of_92():
     visited = [steps[0].state] + [s.next_state for s in steps]
     assert visited == ["000.0", "010.4", "001.2", "101.7",
                        "010.3", "101.7", "101.7", "100.5"]
-    run = berstel_adder().run("2220121")
-    assert run.output == "0101011"
-    assert run.final_output == "100"
+    assert "".join(s.output for s in steps) == "0101011"
+    assert berstel_adder().final_words[visited[-1]] == "100"
+    assert berstel_adder().run("2220121") == "0101011100"
     assert fib_value("0101011100") == 92
 
 
 def test_worked_path_sum_of_58():
-    run = berstel_adder().run("2010202")
-    assert run.output == "0010110"
-    assert run.last_state == "100.6"
-    assert fib_value(run.combined) == 58
+    steps = berstel_adder().trace("2010202")
+    assert "".join(s.output for s in steps) == "0010110"
+    assert steps[-1].next_state == "100.6"
+    word = berstel_adder().run("2010202")
+    assert word == "0010110" + berstel_adder().final_words["100.6"]
+    assert fib_value(word) == 58
 
 
 def test_extended_adder_short_outputs():
     m = complement_adder()
-    assert m.run_with_final("21") == "1010"
-    assert m.run_with_final("0") == "000"
-    assert m.run_with_final("1") == "101"
+    assert m.run("21") == "1010"
+    assert m.run("0") == "000"
+    assert m.run("1") == "101"
 
 
 def test_worked_path_signed_sum_of_24():
@@ -65,7 +67,7 @@ def test_worked_path_signed_sum_of_24():
     visited = [steps[0].state] + [s.next_state for s in steps]
     assert visited == ["start", "100.6", "100.5", "010.4",
                        "101.6", "010.4", "001.2", "100.5"]
-    combined = complement_adder().run_with_final("2220121")
+    combined = complement_adder().run("2220121")
     assert combined == "110110100"
     assert fibc_value(combined) == 24
 
@@ -75,9 +77,10 @@ def test_worked_path_signed_sum_of_minus_10():
     visited = [steps[0].state] + [s.next_state for s in steps]
     assert visited == ["start", "100.6", "001.1", "010.4",
                        "101.6", "100.6", "001.1", "100.6"]
-    run = complement_adder().run("2010202")
-    assert run.output == "100110"
-    assert fibc_value(run.combined) == -10
+    assert "".join(s.output for s in steps) == "100110"
+    word = complement_adder().run("2010202")
+    assert word == "100110" + complement_adder().final_words[visited[-1]]
+    assert fibc_value(word) == -10
 
 
 def test_value_preservation_exhaustive():
@@ -86,8 +89,8 @@ def test_value_preservation_exhaustive():
     for length in range(1, 8):
         for tup in product("012", repeat=length):
             u = "".join(tup)
-            assert fib_value(plain.run_with_final(u)) == fib_value(u)
-            z = extended.run_with_final(u)
+            assert fib_value(plain.run(u)) == fib_value(u)
+            z = extended.run(u)
             assert len(z) == len(u) + 2
             assert fibc_value(z) == fibc_value(u)
 
@@ -97,7 +100,7 @@ def test_first_letter_of_output():
     for length in range(1, 8):
         for tup in product("012", repeat=length):
             u = "".join(tup)
-            z = extended.run_with_final(u)
+            z = extended.run(u)
             assert (z[0] == "0") == (u[0] == "0")
 
 
@@ -107,12 +110,9 @@ def test_adder_relations():
     for length in range(0, 9):
         for tup in product("012", repeat=length):
             v = "".join(tup)
-            assert (plain.run_with_final("0" + v)
-                    == "0" + extended.run_with_final("0" + v))
-            assert (plain.run_with_final("101" + v)
-                    == "000" + extended.run_with_final("1" + v))
-            assert (plain.run_with_final("202" + v)
-                    == "001" + extended.run_with_final("2" + v))
+            assert plain.run("0" + v) == "0" + extended.run("0" + v)
+            assert plain.run("101" + v) == "000" + extended.run("1" + v)
+            assert plain.run("202" + v) == "001" + extended.run("2" + v)
 
 
 def test_add_fib_examples():

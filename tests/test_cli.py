@@ -226,3 +226,110 @@ def test_verify_small_depth(capsys):
 def test_verify_depth_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--depth", "0")
     assert code == 0
+
+
+# Full stdout of the commands that print a run's parts, byte for byte.
+GOLDEN_ADD_FIB_TRACE = """\
+    33  1010101
++   25  1000101
+   sum  2010202
+        000.0 -2/0-> 010.4
+        010.4 -0/0-> 101.6
+        101.6 -1/1-> 010.4
+        010.4 -0/0-> 101.6
+        101.6 -2/1-> 100.6
+        100.6 -0/1-> 001.1
+        001.1 -2/0-> 100.6
+   raw  0010110·100
+=   58  100000100
+"""
+
+GOLDEN_ADD_FIBC_TRACE = """\
+     -1  1010101
++    -9  1000101
+    sum  2010202
+         start -2/eps-> 100.6
+         100.6 -0/1-> 001.1
+         001.1 -1/0-> 010.4
+         010.4 -0/0-> 101.6
+         101.6 -2/1-> 100.6
+         100.6 -0/1-> 001.1
+         001.1 -2/0-> 100.6
+    raw  100110·100
+=   -10  1000100
+"""
+
+GOLDEN_SUB = """\
+     3  0000100
+-   10  1000100
+   sum  1000200
+   raw  101001·001
+=   -7  1001001
+"""
+
+GOLDEN_TRACE_T = """\
+start -2/eps-> 100.6
+100.6 -0/1-> 001.1
+001.1 -1/0-> 010.4
+010.4 -0/0-> 101.6
+101.6 -2/1-> 100.6
+100.6 -0/1-> 001.1
+001.1 -2/0-> 100.6
+output 100110·100 (last state 100.6)
+"""
+
+GOLDEN_TABLE_CSV = """\
+word,fib_value,fib_adder,fib_adder_value,fibc_value,signed_adder,signed_adder_value
+0,0,0·000,0,0,eps·000,0
+1,1,0·001,1,-1,eps·101,-1
+2,2,0·010,2,-2,eps·100,-2
+00,0,00·000,0,0,0·000,0
+01,1,00·001,1,1,0·001,1
+02,2,00·010,2,2,0·010,2
+10,2,00·010,2,-1,1·010,-1
+11,3,00·100,3,0,1·100,0
+12,4,00·101,4,1,1·101,1
+20,4,00·101,4,-2,1·001,-2
+21,5,01·000,5,-1,1·010,-1
+22,6,01·001,6,0,1·100,0
+000,0,000·000,0,0,00·000,0
+001,1,000·001,1,1,00·001,1
+002,2,000·010,2,2,00·010,2
+010,2,000·010,2,2,00·010,2
+011,3,000·100,3,3,00·100,3
+012,4,000·101,4,4,00·101,4
+020,4,000·101,4,4,00·101,4
+021,5,001·000,5,5,01·000,5
+022,6,001·001,6,6,01·001,6
+100,3,000·100,3,-2,10·100,-2
+101,4,000·101,4,-1,10·101,-1
+102,5,001·000,5,0,11·000,0
+110,5,001·000,5,0,11·000,0
+111,6,001·001,6,1,11·001,1
+112,7,001·010,7,2,11·010,2
+120,7,001·010,7,2,11·010,2
+121,8,001·100,8,3,11·100,3
+122,9,001·101,9,4,11·101,4
+200,6,001·001,6,-4,10·001,-4
+201,7,001·010,7,-3,10·010,-3
+202,8,001·100,8,-2,10·100,-2
+210,8,010·000,8,-2,10·100,-2
+211,9,010·001,9,-1,10·101,-1
+212,10,010·010,10,0,11·000,0
+220,10,010·010,10,0,11·000,0
+221,11,010·100,11,1,11·001,1
+222,12,010·101,12,2,11·010,2
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("add", "--system", "fib", "--trace", "33", "25"), GOLDEN_ADD_FIB_TRACE),
+    (("add", "--system", "fibc", "--trace", "--", "-1", "-9"), GOLDEN_ADD_FIBC_TRACE),
+    (("sub", "--", "3", "10"), GOLDEN_SUB),
+    (("trace", "--machine", "T", "2010202"), GOLDEN_TRACE_T),
+    (("table", "--format", "csv"), GOLDEN_TABLE_CSV),
+], ids=["add-fib-trace", "add-fibc-trace", "sub", "trace-T", "table-csv"])
+def test_golden_stdout(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected

@@ -53,8 +53,9 @@ def test_carry_matches_state_names():
     for length in range(0, 6):
         for tup in product("012", repeat=length):
             u = "".join(tup)
-            run = adder.run(u)
-            triple, value = run.last_state.split(".")
+            steps = adder.trace(u)
+            last = steps[-1].next_state if steps else adder.initial
+            triple, value = last.split(".")
             tr = translate_word(u)
             assert tr.triple == triple
             assert tr.carry == int(value)
@@ -102,9 +103,8 @@ def test_derive_equals_hardcoded():
 def test_derived_machine_computes_translation():
     m = derive_adder()
     for word, tr in translate_tree(6):
-        run = m.run(word)
-        assert run.output == tr.output
-        assert run.final_output == tr.triple
+        assert "".join(s.output for s in m.trace(word)) == tr.output
+        assert m.run(word) == tr.output + tr.triple
 
 
 def test_equivalent_classes_behave_equally_at_depth_6():

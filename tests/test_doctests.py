@@ -19,13 +19,13 @@ def test_docstring_examples():
 
 def test_public_api():
     assert sorted(fibc.__all__) == [
-        "CarryState", "MealyMachine", "MissingTransitionError", "RunResult",
-        "TraceStep", "add_fib", "add_fibc", "add_words", "adder_table",
-        "berstel_adder", "canonicalize", "cmp_radix", "cmp_signed",
-        "complement_adder", "derive_adder", "enumerate_canonical", "fib",
-        "fib_rep", "fib_value", "fibc_rep", "fibc_value", "is_canonical",
-        "is_zeckendorf", "neutral_prefix", "normalize_fib", "pad_words", "step",
-        "sub_fibc", "sum_words", "translate_word", "twos_complement_rep",
+        "CarryState", "MealyMachine", "MissingTransitionError", "TraceStep",
+        "add_fib", "add_fibc", "add_words", "adder_table", "berstel_adder",
+        "canonicalize", "cmp_radix", "cmp_signed", "complement_adder",
+        "derive_adder", "enumerate_canonical", "fib", "fib_rep", "fib_value",
+        "fibc_rep", "fibc_value", "is_canonical", "is_zeckendorf",
+        "neutral_prefix", "normalize_fib", "pad_words", "step", "sub_fibc",
+        "sum_words", "translate_word", "twos_complement_rep",
         "twos_complement_value",
     ]
     for name in fibc.__all__:

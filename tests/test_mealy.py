@@ -92,27 +92,38 @@ def test_build_prunes_unreachable_states():
     assert len(m.states) == 2
 
 
+def traced_run(machine, word, start=None):
+    """(output, last state, final word) assembled from the per-symbol trace."""
+    start = machine.initial if start is None else start
+    steps = machine.trace(word, start)
+    last = steps[-1].next_state if steps else start
+    return ("".join(s.output for s in steps), last, machine.final_words[last])
+
+
+def traced_word(machine, word, start=None):
+    """What `run` returns, read off the trace: output, then final word."""
+    output, _, final = traced_run(machine, word, start)
+    return output + final
+
+
 def test_run_and_empty_run():
     adder = berstel_adder()
-    result = adder.run("2010202")
-    assert result.output == "0010110"
-    assert result.last_state == "100.6"
-    assert result.final_output == "100"
-    empty = adder.run("")
-    assert empty == ("", "000.0", "000")
+    assert adder.run("2010202") == "0010110" + "100"
+    assert traced_run(adder, "2010202") == ("0010110", "100.6", "100")
+    assert adder.run("") == "000"
+    assert traced_run(adder, "") == ("", "000.0", "000")
 
     signed = complement_adder()
-    result = signed.run("2010202")
-    assert result.output == "100110"
-    assert result.last_state == "100.6"
-    assert result.final_output == "100"
-    assert signed.run("") == ("", "start", "000")
+    assert signed.run("2010202") == "100110" + "100"
+    assert traced_run(signed, "2010202") == ("100110", "100.6", "100")
+    assert signed.run("") == "000"
+    assert traced_run(signed, "") == ("", "start", "000")
 
 
 def test_run_with_final():
-    assert berstel_adder().run_with_final("2220121") == "0101011" + "100"
-    assert complement_adder().run_with_final("2220121") == "110110100"
-    assert complement_adder().run_with_final("1") == "101"
+    assert berstel_adder().run("2220121") == "0101011" + "100"
+    assert complement_adder().run("2220121") == "110110100"
+    assert complement_adder().run("1") == "101"
 
 
 def test_run_missing_transition_reports_position():
@@ -129,7 +140,7 @@ def test_machines_are_read_only():
             m.transitions[("000.0", "0")] = ("000.0", "1")
         with pytest.raises(TypeError):
             m.final_words["000.0"] = "1"
-    assert berstel_adder().run_with_final("2") == "0010"
+    assert berstel_adder().run("2") == "0010"
 
 
 def test_machine_copies_its_tables():
@@ -139,7 +150,7 @@ def test_machine_copies_its_tables():
                      final_words=final_words)
     transitions[("a", "0")] = ("a", "")
     final_words["a"] = "1"
-    assert m.run_with_final("00") == "11"
+    assert m.run("00") == "11"
 
 
 def test_trace():
@@ -154,14 +165,8 @@ def test_trace_concatenates_to_run_output():
     adder = berstel_adder()
     for word in ("2220121", "2010202", "0001112", "222222"):
         steps = adder.trace(word)
-        assert "".join(s.output for s in steps) == adder.run(word).output
-
-
-def traced_run(machine, word, start):
-    """(output, last state, final word) assembled from the per-symbol trace."""
-    steps = machine.trace(word, start)
-    last = steps[-1].next_state if steps else start
-    return ("".join(s.output for s in steps), last, machine.final_words[last])
+        output = "".join(s.output for s in steps)
+        assert output + adder.final_words[steps[-1].next_state] == adder.run(word)
 
 
 def assert_memo_matches_trace(machine):
@@ -184,7 +189,7 @@ def test_block_run_matches_trace_exhaustively():
         expected = {}
         for start in machine.states:
             for word in words:
-                expected[start, word] = traced_run(machine, word, start)
+                expected[start, word] = traced_word(machine, word, start)
                 machine._memo.clear()
                 assert machine.run(word, start) == expected[start, word]
                 assert machine.run(word, start) == expected[start, word]
@@ -199,7 +204,7 @@ def test_block_run_matches_trace_exhaustively():
        st.data())
 def test_block_run_matches_trace_on_long_words(machine, word, data):
     start = data.draw(st.sampled_from(machine.states))
-    assert machine.run(word, start) == traced_run(machine, word, start)
+    assert machine.run(word, start) == traced_word(machine, word, start)
 
 
 @pytest.mark.parametrize("position", [0, 3, 6, 13, 19])
@@ -217,9 +222,9 @@ def test_block_run_missing_transition(position):
     assert (err.value.state, err.value.symbol, err.value.position) == (
         expected.value.state, "3", position)
     cut = position - position % _BLOCK
-    entry = traced_run(machine, bad[:cut], machine.initial)[1]
+    entry = traced_run(machine, bad[:cut])[1]
     assert bad[cut:cut + _BLOCK] not in machine._memo.get(entry, {})
-    assert machine.run(word) == traced_run(machine, word, machine.initial)
+    assert machine.run(word) == traced_word(machine, word)
 
 
 def test_warm_run_reads_only_the_memo(monkeypatch):
@@ -246,7 +251,8 @@ def test_block_run_from_state_without_transitions():
             m.run(word)
         assert (err.value.state, err.value.symbol, err.value.position) == (
             "b", "0", position)
-    assert m.run("000000000001") == ("000000000001", "b", "1")
+    assert m.run("000000000001") == "000000000001" + "1"
+    assert traced_run(m, "000000000001") == ("000000000001", "b", "1")
 
 
 def test_run_composes_across_split_points():
@@ -257,11 +263,9 @@ def test_run_composes_across_split_points():
             cut = rng.randrange(0, total + 1)
             u = "".join(rng.choice("012") for _ in range(cut))
             v = "".join(rng.choice("012") for _ in range(total - cut))
-            whole = machine.run(u + v)
-            first = machine.run(u)
-            second = machine.run(v, start=first.last_state)
-            assert whole.output == first.output + second.output
-            assert whole.last_state == second.last_state
+            output, middle, _ = traced_run(machine, u)
+            assert machine.run(u + v) == output + machine.run(v, start=middle)
+            assert traced_run(machine, u + v)[1] == traced_run(machine, v, middle)[1]
 
 
 def test_dot_export():

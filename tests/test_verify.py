@@ -41,7 +41,7 @@ def test_corrupted_machine_is_caught_with_counterexample():
     assert "counterexample" in result.detail
     # The reported word must actually witness the failure.
     word = result.detail.split()[-1]
-    bad = corrupted_adder().run_with_final(word)
+    bad = corrupted_adder().run(word)
     from fibc.fibonacci import fib_value
     assert fib_value(bad) != fib_value(word)
 
