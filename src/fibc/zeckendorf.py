@@ -8,6 +8,9 @@ order (shorter first, then lexicographic).
 fib_rep writes the digits at positions 32 and up by the greedy algorithm and
 reads the low 32 from a table of the Zeckendorf words below F(16), built on
 first use: an n below F(32) costs one bisect and two table reads.
+
+normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
+occurrence at once, and finishes a slow word by a linear leftward cascade.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from functools import cache
 from .fibonacci import _FIBS, _check_word, _extend_to_value, fib
 
 _LOW = 16  # digits per table word; the table covers the low 2 * _LOW digits
+_ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the cascade
 
 
 @cache
@@ -65,13 +69,14 @@ def fib_rep(n: int) -> str:
     _extend_to_value(n)
     k = bisect_right(_FIBS, n) - 1
     digits = []
+    append = digits.append
     rem = n
-    for i in range(k, 2 * _LOW - 1, -1):
-        if _FIBS[i] <= rem:
-            rem -= _FIBS[i]
-            digits.append("1")
+    for f in _FIBS[k : 2 * _LOW - 1 : -1]:
+        if f <= rem:
+            rem -= f
+            append("1")
         else:
-            digits.append("0")
+            append("0")
     digits.append(_low_rep(rem, words, shifted).zfill(2 * _LOW))
     return "".join(digits)
 
@@ -100,9 +105,10 @@ def cmp_radix(u: str, v: str) -> int:
 def normalize_fib(w: str) -> str:
     """Canonical word with the same Fibonacci value as a ternary word.
 
-    Binary words are rewritten in place (see _normalize_binary); a word
-    with a 2 is first run through the plain adder, which returns a binary
-    word of the same value.  Linear in the length of w.
+    Binary words are rewritten 011 -> 100 on an int, every occurrence at
+    once per round (see _normalize_binary); a word with a 2 is first run
+    through the plain adder, which returns a binary word of the same value.
+    Linear in the length of w.
 
     >>> normalize_fib("2")
     '10'
@@ -118,12 +124,29 @@ def normalize_fib(w: str) -> str:
 def _normalize_binary(w: str) -> str:
     """Canonical word with the same Fibonacci value as a binary word.
 
-    Rewrites 011 -> 100, which keeps the value as F(j+2) = F(j+1) + F(j).
-    The first 11 factor is always preceded by a 0, and the rewrite can only
-    create a new 11 to its left, so each rewrite cascades leftward until the
-    prefix is 11-free, then the scan jumps to the next 11.  Every rewrite
-    removes a 1, so the work is linear.  One guard 0 in front suffices: the
-    value of a length-k word is below F(k+1).
+    Rewrites every 011 -> 100 at once (F(j+2) = F(j+1) + F(j)) on the int
+    whose bit j weighs F(j): occurrences never share a digit, so * 7 flips
+    three disjoint bits for each.  A run of k ones takes about k/2 rounds,
+    so after _ROUNDS rounds the linear _cascade finishes the word.
+    """
+    x = int(w or "0", 2)
+    for _ in range(_ROUNDS):
+        pairs = x & (x >> 1)
+        if not pairs:
+            return format(x, "b") if x else ""
+        x ^= (pairs & ~(x >> 2)) * 7
+    return _cascade(format(x, "b"))
+
+
+def _cascade(w: str) -> str:
+    """Canonical word with the same Fibonacci value as a binary word.
+
+    Rewrites 011 -> 100 from the left: the first 11 factor is always
+    preceded by a 0, and the rewrite can only create a new 11 to its left,
+    so each rewrite cascades leftward until the prefix is 11-free, then the
+    scan jumps to the next 11.  Every rewrite removes a 1, so the work is
+    linear.  One guard 0 in front suffices: the value of a length-k word is
+    below F(k+1).
     """
     b = bytearray(b"0")
     b += w.encode()

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -5,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibc import complement, fibonacci, zeckendorf
-from fibc.complement import fibc_rep
+from fibc.adders import add_fib, add_fibc, berstel_adder, complement_adder
+from fibc.complement import fibc_rep, sum_words
 from fibc.fibonacci import fib, fib_value
-from fibc.zeckendorf import cmp_radix, fib_rep, is_zeckendorf, normalize_fib
+from fibc.zeckendorf import (_ROUNDS, _normalize_binary, cmp_radix, fib_rep,
+                             is_zeckendorf, normalize_fib)
 
 from reference_data import ZECKENDORF_WORDS
+from test_large_operands import binary_words, complement_words, ternary_words
 
 
 def canonical_words(max_len):
@@ -145,18 +149,94 @@ def test_normalize_binary_matches_int_oracle():
             assert normalize_fib(w) == fib_rep(fib_value(w))
 
 
+def cascade_oracle(w):
+    """The leftward cascade that normalized every word before the
+    bit-parallel rounds: the reference on words too long for the int round
+    trip, which would grow the shared Fibonacci cache to their length."""
+    b = bytearray(b"0")
+    b += w.encode()
+    i = b.find(b"11")
+    while i > 0:
+        b[i - 1 : i + 2] = b"100"
+        j = i - 2
+        while j > 0 and b[j] == 49:
+            b[j - 1 : j + 2] = b"100"
+            j -= 2
+        i = b.find(b"11", i + 1)
+    return b.lstrip(b"0").decode()
+
+
+# A carry that cascades through 10 pairs and a run of ones take one
+# bit-parallel round per 11 they hold; 0111011 repeated is dense in 11s but
+# takes two rounds.  SIZES gives each about 10^5 digits.
+FAMILIES = (lambda k: "0" + "10" * k + "11",
+            lambda k: "0" + "1" * k,
+            lambda k: "0111011" * k)
+SIZES = (50_000, 100_000, 14_286)
+
+
+def test_normalize_binary_slow_families():
+    # Either side of the switch to the cascade, against the int round trip.
+    for family in FAMILIES:
+        for k in range(1, 3 * _ROUNDS + 1):
+            w = family(k)
+            assert _normalize_binary(w) == fib_rep(fib_value(w))
+
+
+def test_normalize_binary_slow_families_at_1e5_digits():
+    for family, k in zip(FAMILIES, SIZES):
+        w = family(k)
+        assert _normalize_binary(w) == cascade_oracle(w)
+
+
+adder_outputs = st.one_of(
+    ternary_words().map(lambda t: berstel_adder().run(t)),
+    st.tuples(complement_words(), complement_words()).map(
+        lambda uv: complement_adder().run(sum_words(*uv))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(binary_words(), adder_outputs))
+def test_normalize_binary_matches_int_oracle_on_long_words(w):
+    assert _normalize_binary(w) == fib_rep(fib_value(w))
+
+
+def test_cascade_runs_only_past_the_rounds(monkeypatch):
+    calls = []
+    cascade = zeckendorf._cascade
+
+    def counting(w):
+        calls.append(len(w))
+        return cascade(w)
+
+    monkeypatch.setattr(zeckendorf, "_cascade", counting)
+    for family, k, slow in zip(FAMILIES, SIZES, (True, True, False)):
+        calls.clear()
+        _normalize_binary(family(k))
+        assert bool(calls) == slow
+    for w in ("10" * 50_000, "0" * 1000 + "1001" * 1000, *canonical_words(16)):
+        _normalize_binary(w)
+    # Additions the size of the benchmark's small ones: |n| <= 10^6.
+    rng = random.Random(0)
+    for _ in range(2000):
+        m, n = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        add_fibc(m, n)
+        add_fib(abs(m), abs(n))
+    assert calls == []
+
+
 def test_normalize_rejects_bad_digits():
     with pytest.raises(ValueError):
         normalize_fib("0130")
 
 
 class CountingList(list):
-    """A list that counts element reads."""
+    """A list that counts element reads, each element of a slice too."""
 
     reads = 0
 
     def __getitem__(self, i):
-        self.reads += 1
+        self.reads += len(range(*i.indices(len(self)))) if isinstance(i, slice) else 1
         return super().__getitem__(i)
 
 
