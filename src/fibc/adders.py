@@ -131,71 +131,46 @@ def sub_fibc(m: int, n: int) -> str:
 
 
 class TableRow(NamedTuple):
-    """One behavior-table row: a ternary word, its values under both systems,
-    and what each adder turns it into (run output, final word)."""
+    """One behavior-table row as printed, its field names being the header:
+    a ternary word, its value in each system, and what each adder turns it
+    into, shown as "output·final" ("eps" for an empty output), with that
+    word's value in the adder's own system."""
 
     word: str
-    fib_val: int
-    fib_out: str
-    fib_out_final: str
-    fib_out_val: int
-    fibc_val: int
-    fibc_out: str
-    fibc_out_final: str
-    fibc_out_val: int
+    fib_value: int
+    fib_adder: str
+    fib_adder_value: int
+    fibc_value: int
+    signed_adder: str
+    signed_adder_value: int
 
 
 def adder_table() -> list[TableRow]:
-    """Rows for the 39 ternary words of length 1 to 3, in radix order."""
-    fib_machine = berstel_adder()
-    fibc_machine = complement_adder()
+    """Rows for the 39 ternary words of length 1 to 3, in radix order: the
+    plain adder read with `fib_value`, then the signed one with
+    `fibc_value`."""
+    systems = ((berstel_adder(), fib_value), (complement_adder(), fibc_value))
     rows = []
     words = [""]
     for _ in range(3):
         words = [w + d for w in words for d in "012"]
         for word in words:
-            fib_out, _, fib_final = _run_parts(fib_machine, word)
-            fibc_out, _, fibc_final = _run_parts(fibc_machine, word)
-            rows.append(TableRow(
-                word=word,
-                fib_val=fib_value(word),
-                fib_out=fib_out,
-                fib_out_final=fib_final,
-                fib_out_val=fib_value(fib_out + fib_final),
-                fibc_val=fibc_value(word),
-                fibc_out=fibc_out,
-                fibc_out_final=fibc_final,
-                fibc_out_val=fibc_value(fibc_out + fibc_final),
-            ))
+            cells = []
+            for machine, value in systems:
+                output, _, final = _run_parts(machine, word)
+                cells += [value(word), f"{output or 'eps'}·{final}", value(output + final)]
+            rows.append(TableRow(word, *cells))
     return rows
-
-
-_TABLE_HEADER = ("word", "fib_value", "fib_adder", "fib_adder_value",
-                 "fibc_value", "signed_adder", "signed_adder_value")
-
-
-def _row_cells(row: TableRow) -> tuple[str, ...]:
-    return (
-        row.word,
-        str(row.fib_val),
-        f"{row.fib_out or 'eps'}·{row.fib_out_final}",
-        str(row.fib_out_val),
-        str(row.fibc_val),
-        f"{row.fibc_out or 'eps'}·{row.fibc_out_final}",
-        str(row.fibc_out_val),
-    )
 
 
 def format_table_text(rows: list[TableRow]) -> str:
     """Aligned plain-text rendering with a header line."""
-    cells = [_TABLE_HEADER] + [_row_cells(r) for r in rows]
-    widths = [max(len(line[i]) for line in cells) for i in range(len(_TABLE_HEADER))]
+    cells = [TableRow._fields] + [tuple(map(str, r)) for r in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
              for line in cells]
     return "\n".join(lines) + "\n"
 
 
 def format_table_csv(rows: list[TableRow]) -> str:
-    lines = [",".join(_TABLE_HEADER)]
-    lines += [",".join(_row_cells(r)) for r in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(str, line)) + "\n" for line in [TableRow._fields, *rows])

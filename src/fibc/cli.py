@@ -32,6 +32,11 @@ def _read_word(text: str) -> str:
 
 
 _MACHINES = {"B": berstel_adder, "T": complement_adder}
+_SYSTEMS = {  # system -> (representation, value)
+    "fib": (fib_rep, fib_value),
+    "fibc": (fibc_rep, fibc_value),
+    "2c": (twos_complement_rep, twos_complement_value),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,13 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="convert between integers and words")
-    p.add_argument("--system", choices=("fib", "fibc", "2c"), required=True)
+    p.set_defaults(handler=_cmd_convert)
+    p.add_argument("--system", choices=tuple(_SYSTEMS), required=True)
     p.add_argument("--from", dest="source", choices=("int", "word"), required=True)
     p.add_argument("value")
 
     for name, help_text in (("add", "add two integers through the transducer"),
                             ("sub", "subtract two integers through the transducer")):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=_cmd_add, negate_b=name == "sub")
         systems = ("fib", "fibc") if name == "add" else ("fibc",)
         p.add_argument("--system", choices=systems, required=name == "add",
                        default="fibc")
@@ -60,21 +67,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("b")
 
     p = sub.add_parser("table", help="behavior table for all short ternary words")
+    p.set_defaults(handler=_cmd_table)
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("export-machine", help="write a machine as DOT or JSON")
+    p.set_defaults(handler=_cmd_export_machine)
     p.add_argument("--machine", choices=tuple(_MACHINES), required=True)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
     p = sub.add_parser("trace", help="run a machine on a word, step by step")
+    p.set_defaults(handler=_cmd_trace)
     p.add_argument("--machine", choices=tuple(_MACHINES), default="B")
     p.add_argument("word")
 
     p = sub.add_parser("enumerate",
                        help="canonical complement words up to a length, by value")
+    p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("max_len", type=int)
 
     p = sub.add_parser("verify", help="run the verification battery")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--depth", type=int, default=8,
                    help="word sweep length; integer sweeps scale as 300*depth/8")
 
@@ -82,22 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    rep, value = _SYSTEMS[args.system]
     if args.source == "int":
-        n = int(args.value)
-        if args.system == "fib":
-            print(_show(fib_rep(n)))
-        elif args.system == "fibc":
-            print(fibc_rep(n))
-        else:
-            print(twos_complement_rep(n))
+        print(_show(rep(int(args.value))))
     else:
-        word = _read_word(args.value)
-        if args.system == "fib":
-            print(fib_value(word))
-        elif args.system == "fibc":
-            print(fibc_value(word))
-        else:
-            print(twos_complement_value(word))
+        print(value(_read_word(args.value)))
     return 0
 
 
@@ -106,24 +107,18 @@ def _print_trace(machine: MealyMachine, word: str, indent: str = "  ") -> None:
         print(f"{indent}{s.state} -{s.symbol}/{_show(s.output)}-> {s.next_state}")
 
 
-def _cmd_add(args: argparse.Namespace, negate_b: bool = False) -> int:
-    m = int(args.a)
-    n = int(args.b)
-    shown_n = n
-    if negate_b:
-        n = -n
-    if args.system == "fib":
-        if m < 0 or n < 0:
-            raise ValueError("the fib system represents nonnegative integers only")
-        u, v, total, _, result = _addition(fib_rep(m), fib_rep(n), signed=False)
-        machine = berstel_adder()
-        value = fib_value(result)
-    else:
-        u, v, total, _, result = _addition(fibc_rep(m), fibc_rep(n), signed=True)
-        machine = complement_adder()
-        value = fibc_value(result)
+def _cmd_add(args: argparse.Namespace) -> int:
+    m, shown_n = int(args.a), int(args.b)
+    n = -shown_n if args.negate_b else shown_n
+    signed = args.system == "fibc"
+    if not signed and (m < 0 or n < 0):
+        raise ValueError("the fib system represents nonnegative integers only")
+    rep, value_of = _SYSTEMS[args.system]
+    u, v, total, _, result = _addition(rep(m), rep(n), signed)
+    machine = _MACHINES["T" if signed else "B"]()
+    value = value_of(result)
 
-    op = "-" if negate_b else "+"
+    op = "-" if args.negate_b else "+"
     width = max(len(str(m)), len(str(shown_n)), len(str(value))) + 2
     print(f"  {m:>{width}}  {_show(u)}")
     print(f"{op} {shown_n:>{width}}  {_show(v)}")
@@ -197,27 +192,12 @@ def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "convert":
-            return _cmd_convert(args)
-        if args.command == "add":
-            return _cmd_add(args)
-        if args.command == "sub":
-            return _cmd_add(args, negate_b=True)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "export-machine":
-            return _cmd_export_machine(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        return _cmd_verify(args)
+        return args.handler(args)
     except ValueError as exc:
         parser.error(str(exc))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ equal-length alignment (and hence digit-wise addition) possible.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 from typing import Iterator
 
 from .fibonacci import _FIBS, _check_word, _extend_to_value, fib
@@ -30,18 +31,12 @@ def is_canonical(w: str) -> bool:
             and not w.startswith("101"))
 
 
-def _odd_fibs(count: int) -> tuple[int, ...]:
-    """F(1), F(3), ..., F(2 * count - 1), by the two-term recurrence alone:
-    building them through fib() would grow the shared cache at import."""
-    a, b = 1, 2  # F(0), F(1)
-    odd = []
-    for _ in range(count):
-        odd.append(b)
-        a, b = a + b, a + 2 * b  # F(2i), F(2i+1) -> F(2i+2), F(2i+3)
-    return tuple(odd)
-
-
-_ODD_FIBS = _odd_fibs(16)  # F(1), F(3), ..., F(31)
+@cache
+def _odd_fibs() -> tuple[int, ...]:
+    """F(1), F(3), ..., F(31), built on the first negative conversion (not
+    at import, which must leave the shared cache alone) and then read as a
+    fixed tuple, so small negatives cost the same whatever ran before."""
+    return tuple(fib(i) for i in range(1, 32, 2))
 
 
 def fibc_rep(n: int) -> str:
@@ -58,9 +53,10 @@ def fibc_rep(n: int) -> str:
     if n >= 0:
         return _canonical(fib_rep(n), "0", 0)
     # j = 2k-1 is the least odd index with F(j) >= -n
-    if -n <= _ODD_FIBS[-1]:
-        i = bisect_left(_ODD_FIBS, -n)
-        j, top = 2 * i + 1, _ODD_FIBS[i]
+    odd = _odd_fibs()
+    if -n <= odd[-1]:
+        i = bisect_left(odd, -n)
+        j, top = 2 * i + 1, odd[i]
     else:
         _extend_to_value(-n)
         j = bisect_left(_FIBS, -n) | 1

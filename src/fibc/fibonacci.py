@@ -48,10 +48,13 @@ def fib(i: int) -> int:
     return _FIBS[i]
 
 
+_DROP = {alphabet: str.maketrans("", "", alphabet) for alphabet in ("01", "012")}
+
+
 def _check_word(w: str, alphabet: str, what: str) -> None:
-    for c in w:
-        if c not in alphabet:
-            raise ValueError(f"invalid digit {c!r} in {what} word {w!r}")
+    bad = w.translate(_DROP[alphabet])  # what is left is invalid
+    if bad:
+        raise ValueError(f"invalid digit {bad[0]!r} in {what} word {w!r}")
 
 
 def fib_value(w: str) -> int:

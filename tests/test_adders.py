@@ -2,9 +2,10 @@ from itertools import product
 
 import pytest
 
-from fibc.adders import (adder_table, add_fib, add_fibc, add_words, berstel_adder,
-                         complement_adder, format_table_csv,
+from fibc.adders import (TableRow, adder_table, add_fib, add_fibc, add_words,
+                         berstel_adder, complement_adder, format_table_csv,
                          format_table_text, sub_fibc)
+from fibc.cli import main
 from fibc.complement import fibc_rep
 from fibc.fibonacci import fib_value, fibc_value
 from fibc.zeckendorf import fib_rep
@@ -173,29 +174,26 @@ def test_addition_agrees_with_integers():
 def test_table_shape_and_reference_rows():
     rows = adder_table()
     assert len(rows) == 39
-    by_word = {r.word: r for r in rows}
-    for word, fv, fout, fov, cv, cout, cov in ADDER_ROWS:
-        row = by_word[word]
-        assert row.fib_val == fv
-        assert f"{row.fib_out or 'eps'}·{row.fib_out_final}" == fout
-        assert row.fib_out_val == fov
-        assert row.fibc_val == cv
-        assert f"{row.fibc_out or 'eps'}·{row.fibc_out_final}" == cout
-        assert row.fibc_out_val == cov
+    assert [tuple(row) for row in rows] == ADDER_ROWS
 
 
 def test_table_spot_rows():
     by_word = {r.word: r for r in adder_table()}
-    assert by_word["20"].fib_val == 4
-    assert by_word["20"].fibc_out + "·" + by_word["20"].fibc_out_final == "1·001"
-    assert by_word["20"].fibc_val == -2
-    assert by_word["000"].fibc_out == "00"
-    assert by_word["000"].fibc_out_val == 0
-    assert by_word["222"].fibc_out + "·" + by_word["222"].fibc_out_final == "11·010"
-    assert by_word["222"].fibc_out_val == 2
+    reference = {row[0]: row for row in ADDER_ROWS}
+    for word in ("20", "000", "222"):
+        assert tuple(by_word[word]) == reference[word]
+    assert by_word["20"].fib_value == 4
+    assert by_word["20"].signed_adder == "1·001"
+    assert by_word["20"].fibc_value == -2
+    assert by_word["000"].signed_adder == "00·000"
+    assert by_word["000"].signed_adder_value == 0
+    assert by_word["222"].signed_adder == "11·010"
+    assert by_word["222"].signed_adder_value == 2
 
 
-def test_table_formatting():
+def test_table_formatting(capsys):
+    assert main(["table"]) == 0
+    assert TableRow._fields == tuple(capsys.readouterr().out.splitlines()[0].split())
     rows = adder_table()
     text = format_table_text(rows)
     assert "0·000" in text and "eps·000" in text

@@ -72,6 +72,7 @@ def test_negative_rep_reads_no_cache_up_to_f31(monkeypatch):
     values = (2, 3, 10, 1000, 10**6, fib(29) + 1, fib(31) - 1, fib(31))
     expected = [negative_rep_by_cache(-n) for n in values]
     fib_rep(1)  # builds fib_rep's low table, which reads the cache
+    fibc_rep(-1)  # builds the odd-index tuple, which reads the cache
     fibs = CountingList([1, 2])
     for module in (fibonacci, zeckendorf, complement):
         monkeypatch.setattr(module, "_FIBS", fibs)

@@ -3,8 +3,11 @@ from itertools import product
 
 import pytest
 
+from fibc.adders import add_words
+from fibc.complement import canonicalize, is_canonical, neutral_prefix, pad_words
 from fibc.fibonacci import (fib, fib_value, fibc_value, twos_complement_rep,
                             twos_complement_value)
+from fibc.zeckendorf import is_zeckendorf, normalize_fib
 from fibc.verify import identities_check
 
 
@@ -57,6 +60,35 @@ def test_fib_value_examples():
 def test_fib_value_rejects_bad_digit():
     with pytest.raises(ValueError):
         fib_value("103")
+
+
+_VALIDATING = [  # public entry point on one word, and the alphabet it names
+    (fib_value, "ternary"),
+    (fibc_value, "ternary"),
+    (normalize_fib, "ternary"),
+    (is_zeckendorf, "binary"),
+    (is_canonical, "binary"),
+    (neutral_prefix, "binary"),
+    (canonicalize, "binary"),
+    (twos_complement_value, "binary"),
+    (lambda w: pad_words("1", w), "binary"),
+    (lambda w: add_words(w, "1"), "binary"),
+]
+_BAD_WORDS = [  # word, its first invalid digit as a binary and as a ternary word
+    ("3010", "3", "3"), ("0310", "3", "3"), ("0103", "3", "3"), ("01²0", "²", "²"),
+    ("1223", "2", "3"),
+]
+
+
+@pytest.mark.parametrize("check, alphabet", _VALIDATING, ids=[
+    "fib_value", "fibc_value", "normalize_fib", "is_zeckendorf", "is_canonical",
+    "neutral_prefix", "canonicalize", "twos_complement_value", "pad_words", "add_words"])
+@pytest.mark.parametrize("word, binary_digit, ternary_digit", _BAD_WORDS)
+def test_invalid_digit_message(check, alphabet, word, binary_digit, ternary_digit):
+    digit = binary_digit if alphabet == "binary" else ternary_digit
+    with pytest.raises(ValueError) as err:
+        check(word)
+    assert str(err.value) == f"invalid digit '{digit}' in {alphabet} word '{word}'"
 
 
 def test_fibc_value_examples():
