@@ -14,8 +14,8 @@ from bisect import bisect_left
 from functools import cache
 from typing import Iterator
 
-from .fibonacci import _FIBS, _check_word, _extend_to_value, fib
-from .zeckendorf import _normalize_binary, fib_rep, normalize_fib
+from .fibonacci import _FIBS, _check_word, fib
+from .zeckendorf import _B, _fib_pair, _normalize_binary, fib_rep, normalize_fib
 
 
 def is_canonical(w: str) -> bool:
@@ -58,10 +58,24 @@ def fibc_rep(n: int) -> str:
         i = bisect_left(odd, -n)
         j, top = 2 * i + 1, odd[i]
     else:
-        _extend_to_value(-n)
-        j = bisect_left(_FIBS, -n) | 1
-        top = fib(j)
+        j, top = _odd_top(-n)
     return _canonical(fib_rep(top + n), "1", j)
+
+
+def _odd_top(n: int) -> tuple[int, int]:
+    """The least odd j with F(j) >= n, and F(j), for n > F(31): from the
+    shared list up to F(_B), where it stops, and above it from the least k
+    with F(k) >= n, walked up to from a lower bound on k."""
+    if n <= fib(_B):
+        j = bisect_left(_FIBS, n, 0, _B) | 1
+        return j, fib(j)
+    # F(k) <= phi^(k+1) and n >= 2^(b-1) give k >= (b-1)·log_phi(2) - 1.
+    k = (n.bit_length() - 1) * 14404 // 10000 - 2
+    before, top = _fib_pair(k)
+    while top < n:
+        before, top = top, before + top
+        k += 1
+    return (k, top) if k % 2 else (k + 1, before + top)
 
 
 def neutral_prefix(w: str) -> str:

@@ -24,14 +24,6 @@ def _extend_to_index(i: int) -> None:
             _FIBS.append(_FIBS[-1] + _FIBS[-2])
 
 
-def _extend_to_value(n: int) -> None:
-    if _FIBS[-1] > n:
-        return
-    with _LOCK:
-        while _FIBS[-1] <= n:
-            _FIBS.append(_FIBS[-1] + _FIBS[-2])
-
-
 def fib(i: int) -> int:
     """Return F(i) with F(0) = 1, F(1) = 2; defined down to F(-2) = 0.
 

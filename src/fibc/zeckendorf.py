@@ -5,9 +5,22 @@ represents 0.  fib_rep and fib_value are mutually inverse between canonical
 words and the nonnegative integers, and fib_rep is increasing for the radix
 order (shorter first, then lexicographic).
 
-fib_rep writes the digits at positions 32 and up by the greedy algorithm and
-reads the low 32 from a table of the Zeckendorf words below F(16), built on
-first use: an n below F(32) costs one bisect and two table reads.
+fib_rep reads an n below F(32) from a table of the Zeckendorf words below
+F(16), built on first use: one bisect and two table reads.  Larger n are
+cut in two, divide and conquer.  A word hi·lo whose part lo has m digits has
+the value F(m-1)·V(hi) + F(m-2)·V'(hi) + V(lo), where V' weighs digit j by
+F(j-1), and V'(hi) = floor((x+1)/phi) for the Zeckendorf word hi of value x.
+So the high part of n is the greatest x with
+
+    S_m(x) = F(m-1)·x + F(m-2)·floor((x+1)/phi) <= n,
+
+and the low part is the word of n - S_m(x) < F(m), padded to m digits.
+Above F(_B) the cuts fall at m = _B·2^j; below it, every 32 digits, each
+chunk's word read from the table.  An estimate x ~ n·phi^-m (fixed point
+above F(_B), a float below) only says where an exact integer search for x
+starts, so no result depends on its accuracy.  The constants of a cut are
+kept once per power of two, and the shared Fibonacci list grows only to
+F(_B).
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
 occurrence at once, and finishes a slow word by a linear leftward cascade.
@@ -17,11 +30,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
+from math import isqrt
 
-from .fibonacci import _FIBS, _check_word, _extend_to_value, fib
+from .fibonacci import _FIBS, _check_word, fib
 
 _LOW = 16  # digits per table word; the table covers the low 2 * _LOW digits
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the cascade
+_B = 1024  # leaf size in digits; F(_B) < 2**1024, so a leaf fits a float
+_PHI = (1 + 5**0.5) / 2
+_INV_PHI = (isqrt(5 << 128) - (1 << 64)) >> 1  # floor(2**64 / phi)
 
 
 @cache
@@ -52,9 +69,8 @@ def _low_rep(n: int, words: list[str], shifted: list[int]) -> str:
 
 
 def fib_rep(n: int) -> str:
-    """Canonical Fibonacci word of a nonnegative integer, by the greedy
-    algorithm (repeatedly subtract the largest Fibonacci number that fits)
-    down to position 2 * _LOW, and a table lookup for the digits below it.
+    """Canonical Fibonacci word of a nonnegative integer: from a table below
+    F(2 * _LOW), else by divide and conquer (see the module docstring).
 
     >>> fib_rep(0)
     ''
@@ -66,19 +82,122 @@ def fib_rep(n: int) -> str:
     words, shifted, top = _low_table()
     if n < top:
         return _low_rep(n, words, shifted)
-    _extend_to_value(n)
-    k = bisect_right(_FIBS, n) - 1
-    digits = []
-    append = digits.append
-    rem = n
-    for f in _FIBS[k : 2 * _LOW - 1 : -1]:
-        if f <= rem:
-            rem -= f
-            append("1")
+    return _rep(n)
+
+
+def _rep(n: int) -> str:
+    """fib_rep for any n >= 0, without the sign check."""
+    words, shifted, top = _low_table()
+    if n < top:
+        return _low_rep(n, words, shifted)
+    if n < fib(_B):
+        return _leaf(n, words, shifted)
+    # The word has at most b·log_phi(2) + 1 digits; cut at the greatest
+    # m = _B·2^j below that, lowered while F(m) > n.
+    j = ((n.bit_length() * 14405 // 10000) // _B).bit_length() - 1
+    while True:
+        f1, f2, inv, p, scale, e = _cut_point(j)
+        if f1 + f2 <= n:
+            break
+        j -= 1
+    # x ~ n·scale / 2^e from the top k bits of each; phi^m has e - p bits,
+    # so k is 64 bits more than x has.
+    k = n.bit_length() - e + p + 64
+    s, t = max(n.bit_length() - k, 0), max(scale.bit_length() - k, 0)
+    x = ((n >> s) * (scale >> t)) >> (e - s - t)
+    q = max(p - x.bit_length() - 64, 0)  # 1/phi to 64 bits more than x has
+    x, n = _cut(n, f1, f2, x, inv >> q, p - q)
+    return _rep(x) + _rep(n).zfill(_B << j)
+
+
+def _leaf(n: int, words: list[str], shifted: list[int]) -> str:
+    """Word of F(2 * _LOW) <= n < F(_B), cut every 2 * _LOW digits from the
+    top, each part's word read from the table."""
+    i = (bisect_right(_FIBS, n, 0, _B) - 1) // (2 * _LOW)  # cuts below the top digit
+    parts = []
+    append, cut, low_rep = parts.append, _cut, _low_rep
+    for f1, f2, scale in _leaf_cuts()[i - 1 :: -1]:
+        x, n = cut(n, f1, f2, int(n * scale), _INV_PHI, 64)
+        append(low_rep(x, words, shifted))
+    append(low_rep(n, words, shifted))
+    return parts[0] + "".join([w.zfill(2 * _LOW) for w in parts[1:]])
+
+
+@cache
+def _leaf_cuts() -> tuple[tuple[int, int, float], ...]:
+    """F(m-1), F(m-2) and phi^-m at the cuts m = 32, 64, ... below _B."""
+    return tuple((fib(m - 1), fib(m - 2), _PHI**-m) for m in range(2 * _LOW, _B, 2 * _LOW))
+
+
+def _cut(n: int, f1: int, f2: int, x: int, inv: int, p: int) -> tuple[int, int]:
+    """The greatest x with S(x) = f1·x + f2·floor((x+1)/phi) <= n, and
+    n - S(x), searched from the estimate x; f1 and f2 are F(m-1) and F(m-2)
+    at the cut m, and inv = floor(2^p / phi) with p bits more than x has.
+
+    S(x+1) - S(x) is F(m) or F(m-1), as floor((x+2)/phi) exceeds
+    floor((x+1)/phi) or not.
+    """
+    if x < 0:
+        x = 0
+    while True:
+        y = _div_phi(x + 1, inv, p)
+        rest = n - f1 * x - f2 * y
+        if rest < 0:  # S(0) = 0, so x stays >= 0
+            x -= 1
+        elif rest >= f1 and (rest - f1 >= f2 or _div_phi(x + 2, inv, p) == y):
+            x += 1
         else:
-            append("0")
-    digits.append(_low_rep(rem, words, shifted).zfill(2 * _LOW))
-    return "".join(digits)
+            return x, rest
+
+
+def _div_phi(a: int, inv: int, p: int) -> int:
+    """floor(a / phi) for a >= 0, given inv = floor(2^p / phi).
+
+    a/phi lies in [t, t + a) / 2^p for t = a·inv, so its floor is at least
+    t >> p and at most (t + a) >> p, which almost always agree.  Between
+    them, y + 1 <= a/phi exactly when a^2 >= (y+1)·(a + y + 1), as
+    a^2 - a·z - z^2 = -(z - a/phi)(z + a·phi) for every z.
+    """
+    t = a * inv
+    y = t >> p
+    while y < (t + a) >> p and a * a >= (y + 1) * (a + y + 1):
+        y += 1
+    return y
+
+
+@cache
+def _cut_point(j: int) -> tuple[int, int, int, int, int, int]:
+    """Constants of the cut at m = _B·2^j, built on first use: F(m-1),
+    F(m-2), inv = floor(2^p / phi) with p = 64 bits more than F(m-1) has,
+    and scale ~ 2^e / phi^m to about p bits.
+
+    F(m-1), F(m-2) come by one doubling step from the cut at m/2 (from the
+    shared list at j = 0): F(i) is the usual G(i+2), and G(2h) =
+    G(h)·(2·G(h+1) - G(h)), G(2h+1) = G(h)^2 + G(h+1)^2.  Then
+    phi^m = F(m-1) + F(m-2)/phi.
+    """
+    m = _B << j
+    if j == 0:
+        f1, f2 = fib(m - 1), fib(m - 2)
+    else:
+        h1, h2 = _cut_point(j - 1)[:2]
+        f1, f2 = h1 * h1 + h2 * h2, h2 * (2 * h1 - h2)
+    p = f1.bit_length() + 64
+    inv = (isqrt(5 << 2 * p) - (1 << p)) >> 1
+    d = (f1 << p) + f2 * inv  # ~ 2^p·phi^m
+    e = d.bit_length()
+    return f1, f2, inv, p, (1 << (e + p)) // d, e
+
+
+def _fib_pair(k: int) -> tuple[int, int]:
+    """F(k-1) and F(k) for k >= 0: from the shared list up to _B, above it
+    by F(m+i) = F(m-1)·F(i) + F(m-2)·F(i-1) at the greatest cut m <= k."""
+    if k <= _B:
+        return fib(k - 1), fib(k)
+    j = (k // _B).bit_length() - 1
+    f1, f2 = _cut_point(j)[:2]
+    g0, g1 = _fib_pair(k - (_B << j))
+    return f1 * g0 + f2 * (g1 - g0), f1 * g1 + f2 * g0
 
 
 def is_zeckendorf(w: str) -> bool:

@@ -1,17 +1,18 @@
 import subprocess
 import sys
-from bisect import bisect_left
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibc import complement, fibonacci, zeckendorf
 from fibc.complement import (canonicalize, cmp_signed, enumerate_canonical,
                              fibc_rep, is_canonical, neutral_prefix, pad_words,
                              signed_key, sum_words)
-from fibc.fibonacci import _extend_to_value, fib, fibc_value
-from fibc.zeckendorf import fib_rep
+from fibc.fibonacci import fib, fibc_value
+from fibc.zeckendorf import _B, fib_rep
 
 from reference_data import COMPLEMENT_WORDS
 from test_zeckendorf import CountingList
@@ -51,9 +52,12 @@ def test_rep_matches_reference_table():
 
 def negative_rep_by_cache(n):
     """fibc_rep(n) for n <= -2 the way it was first written: the odd index
-    j found by bisecting the shared Fibonacci cache."""
-    _extend_to_value(-n)
-    j = bisect_left(fibonacci._FIBS, -n) | 1
+    j found from the shared Fibonacci cache, the least index k with
+    F(k) >= -n rounded up to odd."""
+    k = 0
+    while fib(k) < -n:
+        k += 1
+    j = k | 1
     w = fib_rep(fib(j) + n)
     return "1" + "0" * (j + 1 - len(w)) + w
 
@@ -66,6 +70,24 @@ def test_negative_rep_matches_cache_path():
     for j in range(1, 36, 2):
         for n in range(-fib(j) - 64, min(-fib(j) + 65, -1)):
             assert fibc_rep(n) == negative_rep_by_cache(n)
+
+
+def test_negative_rep_matches_cache_path_beyond_f31():
+    # The odd top index comes from the shared list up to F(_B), above it
+    # from a lower bound on the index and the Fibonacci pair at a cut point
+    # _B·2^j: around F(_B), the cut points and the first digit counts.
+    ks = [*range(30, 200), *range(_B - 40, _B + 41)]
+    ks += [(_B << j) + s for j in range(1, 5) for s in range(-8, 9)]
+    for k in ks:
+        for d in (-1, 0, 1):
+            n = -(fib(k) + d)
+            assert fibc_rep(n) == negative_rep_by_cache(n), (k, d)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=fib(31) + 1, max_value=10**1500))
+def test_negative_rep_matches_cache_path_on_huge_n(n):
+    assert fibc_rep(-n) == negative_rep_by_cache(-n)
 
 
 def test_negative_rep_reads_no_cache_up_to_f31(monkeypatch):

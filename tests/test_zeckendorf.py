@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
 from itertools import product
+from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +13,9 @@ from fibc import complement, fibonacci, zeckendorf
 from fibc.adders import add_fib, add_fibc, berstel_adder, complement_adder
 from fibc.complement import fibc_rep, sum_words
 from fibc.fibonacci import fib, fib_value
-from fibc.zeckendorf import (_ROUNDS, _normalize_binary, cmp_radix, fib_rep,
-                             is_zeckendorf, normalize_fib)
+from fibc.zeckendorf import (_B, _INV_PHI, _ROUNDS, _cut_point, _div_phi, _fib_pair,
+                             _normalize_binary, cmp_radix, fib_rep, is_zeckendorf,
+                             normalize_fib)
 
 from reference_data import ZECKENDORF_WORDS
 from test_large_operands import binary_words, complement_words, ternary_words
@@ -84,6 +89,140 @@ def test_rep_matches_greedy_at_fibonacci_seams():
 @given(st.integers(min_value=0, max_value=10**630))
 def test_rep_matches_greedy_on_huge_n(n):
     assert fib_rep(n) == greedy_rep(n)
+
+
+def greedy_near(k, d):
+    """greedy_rep(fib(k) + d) for small |d|, the greedy's steps on a
+    Fibonacci seam written out so that a word of thousands of digits needs
+    no Fibonacci list: from F(k) + d >= F(k) it takes F(k), then writes d;
+    below F(k) it takes F(k-1), F(k-3), ... while the rest is at least the
+    next of them, then writes what is left, F(i) + d."""
+    if d >= 0:
+        if d < fib(k - 1):
+            return "1" + greedy_rep(d).zfill(k)
+        return greedy_rep(fib(k) + d)
+    i = k % 2
+    while i < k and fib(i) < -d:
+        i += 2
+    return ("10" * ((k - i) // 2) + greedy_rep(fib(i) + d).zfill(i)).lstrip("0")
+
+
+def test_seam_oracle_is_the_greedy():
+    for k in list(range(70)) + [100, 301, 1024]:
+        for d in range(-64, 65):
+            if fib(k) + d >= 0:
+                assert greedy_near(k, d) == greedy_rep(fib(k) + d)
+
+
+SEAM = range(-64, 65)
+NEAR = (-64, -2, -1, 0, 1, 2, 64)
+
+
+def test_rep_matches_greedy_at_leaf_and_cut_seams():
+    # Leaves are cut every 32 digits and below F(32) read from the table;
+    # above F(_B) the cuts fall at _B·2^j.  SEAM runs at every k <= 160
+    # (each chunk position several times), within 64 of the first cut and
+    # within 2 of 2·_B and 3·_B; NEAR at every other k.  SEAM at every k
+    # would take ten times as long.
+    for k in range(3 * _B + 65):
+        full = k <= 160 or abs(k - _B) <= 64 or min(k % _B, -k % _B) <= 2
+        for d in SEAM if full else NEAR:
+            if fib(k) + d >= 0:
+                assert fib_rep(fib(k) + d) == greedy_near(k, d), (k, d)
+
+
+def test_rep_at_cut_points():
+    # F(k) - 1 is the alternating maximum "1010..." of length k.
+    for j in range(5):
+        for k in range((_B << j) - 2, (_B << j) + 3):
+            for d in (-2, -1, 0, 1):
+                assert fib_rep(fib(k) + d) == greedy_near(k, d), (k, d)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(min_value=0, max_value=10**6000))
+def test_rep_matches_greedy_up_to_1e6000(n):
+    assert fib_rep(n) == greedy_rep(n)
+
+
+def div_phi_oracle(a):
+    return (isqrt(5 * a * a) - a) // 2  # floor(a·sqrt(5)/2 - a/2) = floor(a/phi)
+
+
+def test_div_phi_exhaustive():
+    for a in range(10**6 + 1):
+        assert _div_phi(a, _INV_PHI, 64) == div_phi_oracle(a)
+    # A 1/phi of 4 bits leaves up to a/16 candidates to the exact search.
+    for a in range(10**4):
+        assert _div_phi(a, 9, 4) == div_phi_oracle(a)
+
+
+def test_div_phi_on_10k_digit_numbers():
+    rng = random.Random(12)
+    inv, p = _cut_point(6)[2:4]  # 1/phi to about 45,500 bits
+    for _ in range(40):
+        a = rng.randrange(10**9999, 10**10000)  # about 33,200 bits
+        assert _div_phi(a, inv, p) == div_phi_oracle(a)
+        for bits in (2, 8):  # a coarse 1/phi: the search decides
+            q = p - a.bit_length() - bits
+            assert _div_phi(a, inv >> q, p - q) == div_phi_oracle(a)
+
+
+def test_fib_pair_and_cut_constants():
+    for k in list(range(3 * _B + 65)) + [(_B << j) + s for j in range(5) for s in (-2, 0, 2)]:
+        assert _fib_pair(k) == (fib(k - 1), fib(k))
+    for j in range(5):
+        m = _B << j
+        assert _cut_point(j)[:2] == (fib(m - 1), fib(m - 2))
+
+
+def test_estimates_off_by_three_stay_exact(monkeypatch):
+    # Every cut starts its search from an estimate of x; one that is off by
+    # three, or comes with a 1/phi of two spare bits, must not change a word.
+    rng = random.Random(3)
+    values = [rng.randrange(fib(k)) for k in (40, 500, 1024, 1100, 2500, 5000)]
+    values += [fib(k) + d for k in (33, 64, _B, _B + 1, 2 * _B + 1) for d in (-1, 0, 1)]
+    expected = [greedy_rep(n) for n in values]
+    cut = zeckendorf._cut
+    for skew in (-3, 3):
+        monkeypatch.setattr(zeckendorf, "_cut", lambda n, f1, f2, x, inv, p:
+                            cut(n, f1, f2, x + skew, inv, p))
+        assert [fib_rep(n) for n in values] == expected
+
+    def coarse(n, f1, f2, x, inv, p):
+        q = max(p - x.bit_length() - 2, 0)
+        return cut(n, f1, f2, x, inv >> q, p - q)
+    monkeypatch.setattr(zeckendorf, "_cut", coarse)
+    assert [fib_rep(n) for n in values] == expected
+
+
+BIG_CONVERSIONS = """
+import resource
+from fibc import fibonacci
+from fibc.complement import fibc_rep
+from fibc.zeckendorf import fib_rep
+
+n = 10**20000
+print(len(fib_rep(n)), len(fibc_rep(-n)), len(fibonacci._FIBS))
+# ru_maxrss also counts the test runner's pages at the fork on Linux, so
+# read this image's own peak where the kernel reports it.
+try:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_conversions_at_20000_digits_stay_small():
+    # The greedy kept every F(i) up to n: about 380 MB for 10^20000.
+    src = Path(fibonacci.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", BIG_CONVERSIONS], cwd=src,
+                         capture_output=True, text=True, timeout=120, check=True)
+    rep_len, neg_len, cache_len, peak_kb = map(int, out.stdout.split())
+    assert (rep_len, neg_len) == (95700, 95703)
+    assert cache_len <= _B + 2
+    assert peak_kb < 50 * 1024
 
 
 def test_round_trip_on_integers():
