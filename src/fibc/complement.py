@@ -10,12 +10,10 @@ equal-length alignment (and hence digit-wise addition) possible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import cache
 from typing import Iterator
 
-from .fibonacci import _FIBS, _check_word, fib
-from .zeckendorf import _B, _fib_pair, _normalize_binary, fib_rep, normalize_fib
+from .fibonacci import _check_word, fib
+from .zeckendorf import _B, _fib_pair, _normalize_binary, _top_index, fib_rep, normalize_fib
 
 
 def is_canonical(w: str) -> bool:
@@ -31,51 +29,22 @@ def is_canonical(w: str) -> bool:
             and not w.startswith("101"))
 
 
-@cache
-def _odd_fibs() -> tuple[int, ...]:
-    """F(1), F(3), ..., F(31), built on the first negative conversion (not
-    at import, which must leave the shared cache alone) and then read as a
-    fixed tuple, so small negatives cost the same whatever ran before."""
-    return tuple(fib(i) for i in range(1, 32, 2))
-
-
 def fibc_rep(n: int) -> str:
     """Canonical complement word of any integer.
 
     Nonnegative n prefix the Zeckendorf word with "0" or "00" to reach odd
-    length; negative n are written 1 0^j z, less its leading neutral 10
-    pairs, where z is the Zeckendorf word of n + F(2k-1) for the unique k
-    with -F(2k-1) <= n < -F(2k-3).
+    length.  Negative n are written 1 0...0 z of length j + 2, less its
+    leading neutral 10 pairs, with z the Zeckendorf word of F(j) + n for any
+    odd j with F(j) >= -n: a larger j only prepends more 10 pairs.
 
     >>> fibc_rep(0), fibc_rep(-1), fibc_rep(19), fibc_rep(-10)
     ('0', '1', '0101001', '1000100')
     """
     if n >= 0:
         return _canonical(fib_rep(n), "0", 0)
-    # j = 2k-1 is the least odd index with F(j) >= -n
-    odd = _odd_fibs()
-    if -n <= odd[-1]:
-        i = bisect_left(odd, -n)
-        j, top = 2 * i + 1, odd[i]
-    else:
-        j, top = _odd_top(-n)
+    j = (_top_index(-n) + 1) | 1  # F(j) >= F(t+1) > -n
+    top = fib(j) if j <= _B else _fib_pair(j)[1]
     return _canonical(fib_rep(top + n), "1", j)
-
-
-def _odd_top(n: int) -> tuple[int, int]:
-    """The least odd j with F(j) >= n, and F(j), for n > F(31): from the
-    shared list up to F(_B), where it stops, and above it from the least k
-    with F(k) >= n, walked up to from a lower bound on k."""
-    if n <= fib(_B):
-        j = bisect_left(_FIBS, n, 0, _B) | 1
-        return j, fib(j)
-    # F(k) <= phi^(k+1) and n >= 2^(b-1) give k >= (b-1)·log_phi(2) - 1.
-    k = (n.bit_length() - 1) * 14404 // 10000 - 2
-    before, top = _fib_pair(k)
-    while top < n:
-        before, top = top, before + top
-        k += 1
-    return (k, top) if k % 2 else (k + 1, before + top)
 
 
 def neutral_prefix(w: str) -> str:

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from functools import cache
 from math import isqrt
 
-from .fibonacci import _FIBS, _check_word, fib
+from .fibonacci import _check_word, fib
 
 _LOW = 16  # digits per table word; the table covers the low 2 * _LOW digits
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the cascade
@@ -85,6 +85,13 @@ def fib_rep(n: int) -> str:
     return _rep(n)
 
 
+def _top_index(n: int) -> int:
+    """An index t >= the top digit's of fib_rep(n), at most 2 above it below
+    F(3000): t + 1 > 1.4405·b >= log_phi(2)·b for b = n.bit_length(), so
+    F(t+1) >= phi^(t+1) > 2^b > n."""
+    return n.bit_length() * 14405 // 10000
+
+
 def _rep(n: int) -> str:
     """fib_rep for any n >= 0, without the sign check."""
     words, shifted, top = _low_table()
@@ -92,9 +99,8 @@ def _rep(n: int) -> str:
         return _low_rep(n, words, shifted)
     if n < fib(_B):
         return _leaf(n, words, shifted)
-    # The word has at most b·log_phi(2) + 1 digits; cut at the greatest
-    # m = _B·2^j below that, lowered while F(m) > n.
-    j = ((n.bit_length() * 14405 // 10000) // _B).bit_length() - 1
+    # Cut at the greatest m = _B·2^j <= _top_index(n), lowered while F(m) > n.
+    j = (_top_index(n) // _B).bit_length() - 1
     while True:
         f1, f2, inv, p, scale, e = _cut_point(j)
         if f1 + f2 <= n:
@@ -111,16 +117,16 @@ def _rep(n: int) -> str:
 
 
 def _leaf(n: int, words: list[str], shifted: list[int]) -> str:
-    """Word of F(2 * _LOW) <= n < F(_B), cut every 2 * _LOW digits from the
-    top, each part's word read from the table."""
-    i = (bisect_right(_FIBS, n, 0, _B) - 1) // (2 * _LOW)  # cuts below the top digit
+    """Word of F(2 * _LOW) <= n < F(_B), cut every 2 * _LOW digits below
+    _top_index(n), each part's word read from the table; a cut above the top
+    digit leaves an empty top part, whose zeros the lstrip drops."""
     parts = []
     append, cut, low_rep = parts.append, _cut, _low_rep
-    for f1, f2, scale in _leaf_cuts()[i - 1 :: -1]:
+    for f1, f2, scale in reversed(_leaf_cuts()[: _top_index(n) // (2 * _LOW)]):
         x, n = cut(n, f1, f2, int(n * scale), _INV_PHI, 64)
         append(low_rep(x, words, shifted))
     append(low_rep(n, words, shifted))
-    return parts[0] + "".join([w.zfill(2 * _LOW) for w in parts[1:]])
+    return "".join([w.zfill(2 * _LOW) for w in parts]).lstrip("0")
 
 
 @cache
@@ -190,7 +196,7 @@ def _cut_point(j: int) -> tuple[int, int, int, int, int, int]:
 
 
 def _fib_pair(k: int) -> tuple[int, int]:
-    """F(k-1) and F(k) for k >= 0: from the shared list up to _B, above it
+    """F(k-1) and F(k) for k >= 0, which negative fibc_rep needs above _B:
     by F(m+i) = F(m-1)·F(i) + F(m-2)·F(i-1) at the greatest cut m <= k."""
     if k <= _B:
         return fib(k - 1), fib(k)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibc import complement, fibonacci, zeckendorf
+from fibc import fibonacci
 from fibc.complement import (canonicalize, cmp_signed, enumerate_canonical,
                              fibc_rep, is_canonical, neutral_prefix, pad_words,
                              signed_key, sum_words)
@@ -15,7 +15,7 @@ from fibc.fibonacci import fib, fibc_value
 from fibc.zeckendorf import _B, fib_rep
 
 from reference_data import COMPLEMENT_WORDS
-from test_zeckendorf import CountingList
+from test_zeckendorf import power_bits
 
 
 def no_11_words(max_len):
@@ -64,7 +64,7 @@ def negative_rep_by_cache(n):
 
 def test_negative_rep_matches_cache_path():
     # Exhaustive up to 200,000, then around every -F(j) for odd j <= 35,
-    # across the switch at F(31) from the fixed odd table to the cache.
+    # where the least odd index with F(j) >= -n steps up by 2.
     for n in range(-200000, -1):
         assert fibc_rep(n) == negative_rep_by_cache(n)
     for j in range(1, 36, 2):
@@ -73,34 +73,24 @@ def test_negative_rep_matches_cache_path():
 
 
 def test_negative_rep_matches_cache_path_beyond_f31():
-    # The odd top index comes from the shared list up to F(_B), above it
-    # from a lower bound on the index and the Fibonacci pair at a cut point
-    # _B·2^j: around F(_B), the cut points and the first digit counts.
+    # The odd top index comes from a bound on the word length read off
+    # n.bit_length(), and F(j) from the shared list up to F(_B), above it
+    # from the Fibonacci pair at a cut point _B·2^j: around F(_B), the cut
+    # points and the first digit counts, and at powers of two, where the
+    # bound is loosest or tightest.
     ks = [*range(30, 200), *range(_B - 40, _B + 41)]
     ks += [(_B << j) + s for j in range(1, 5) for s in range(-8, 9)]
-    for k in ks:
-        for d in (-1, 0, 1):
-            n = -(fib(k) + d)
-            assert fibc_rep(n) == negative_rep_by_cache(n), (k, d)
+    values = [fib(k) + d for k in ks for d in (-1, 0, 1)]
+    values += [2**b + d for b in power_bits() for d in (-1, 0, 1)]
+    for n in values:
+        if n >= 2:
+            assert fibc_rep(-n) == negative_rep_by_cache(-n), n
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=fib(31) + 1, max_value=10**1500))
 def test_negative_rep_matches_cache_path_on_huge_n(n):
     assert fibc_rep(-n) == negative_rep_by_cache(-n)
-
-
-def test_negative_rep_reads_no_cache_up_to_f31(monkeypatch):
-    values = (2, 3, 10, 1000, 10**6, fib(29) + 1, fib(31) - 1, fib(31))
-    expected = [negative_rep_by_cache(-n) for n in values]
-    fib_rep(1)  # builds fib_rep's low table, which reads the cache
-    fibc_rep(-1)  # builds the odd-index tuple, which reads the cache
-    fibs = CountingList([1, 2])
-    for module in (fibonacci, zeckendorf, complement):
-        monkeypatch.setattr(module, "_FIBS", fibs)
-    assert [fibc_rep(-n) for n in values] == expected
-    assert fibs.reads == 0
-    assert len(fibs) == 2
 
 
 def test_import_and_adders_leave_cache_at_two():

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import subprocess
 import sys
@@ -9,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibc import complement, fibonacci, zeckendorf
+import fibc
+from fibc import fibonacci, zeckendorf
 from fibc.adders import add_fib, add_fibc, berstel_adder, complement_adder
 from fibc.complement import fibc_rep, sum_words
 from fibc.fibonacci import fib, fib_value
 from fibc.zeckendorf import (_B, _INV_PHI, _ROUNDS, _cut_point, _div_phi, _fib_pair,
-                             _normalize_binary, cmp_radix, fib_rep, is_zeckendorf,
-                             normalize_fib)
+                             _normalize_binary, _top_index, cmp_radix, fib_rep,
+                             is_zeckendorf, normalize_fib)
 
 from reference_data import ZECKENDORF_WORDS
 from test_large_operands import binary_words, complement_words, ternary_words
@@ -118,17 +121,39 @@ SEAM = range(-64, 65)
 NEAR = (-64, -2, -1, 0, 1, 2, 64)
 
 
+def power_bits():
+    """Exponents b for the seam inputs 2^b - 1, 2^b, 2^b + 1: every b up to
+    the bit length of F(_B), and those near the bit lengths of F(2·_B) and
+    F(4·_B)."""
+    near = [fib(_B << j).bit_length() + s for j in (1, 2) for s in range(-3, 3)]
+    return [*range(1, fib(_B).bit_length() + 1), *near]
+
+
 def test_rep_matches_greedy_at_leaf_and_cut_seams():
     # Leaves are cut every 32 digits and below F(32) read from the table;
     # above F(_B) the cuts fall at _B·2^j.  SEAM runs at every k <= 160
-    # (each chunk position several times), within 64 of the first cut and
-    # within 2 of 2·_B and 3·_B; NEAR at every other k.  SEAM at every k
-    # would take ten times as long.
+    # (each chunk position several times), within 4 below every 32-digit
+    # boundary of a leaf (where the length bound takes one spare cut),
+    # within 64 of the first cut and within 2 of 2·_B and 3·_B; NEAR at
+    # every other k.  SEAM at every k would take ten times as long.
+    spare = 0
     for k in range(3 * _B + 65):
-        full = k <= 160 or abs(k - _B) <= 64 or min(k % _B, -k % _B) <= 2
+        full = (k <= 160 or (k < _B and -k % 32 <= 4) or abs(k - _B) <= 64
+                or min(k % _B, -k % _B) <= 2)
         for d in SEAM if full else NEAR:
-            if fib(k) + d >= 0:
-                assert fib_rep(fib(k) + d) == greedy_near(k, d), (k, d)
+            n = fib(k) + d
+            if n >= 0:
+                w, t = fib_rep(n), _top_index(n)
+                assert w == greedy_near(k, d), (k, d)
+                assert len(w) - 1 <= t <= len(w) + 1, (k, d)
+                spare += fib(32) <= n < fib(_B) and t // 32 > (len(w) - 1) // 32
+    assert spare > 1000
+    # The length bound _top_index comes from n.bit_length(), so it is
+    # loosest or tightest at powers of two: every one in a leaf, and those
+    # whose words reach the cuts at 2·_B and 4·_B digits.
+    for b in power_bits():
+        for n in (2**b - 1, 2**b, 2**b + 1):
+            assert fib_rep(n) == greedy_rep(n), n
 
 
 def test_rep_at_cut_points():
@@ -383,10 +408,14 @@ def test_conversion_cost_independent_of_cache_history(monkeypatch):
     # Reads of the shared Fibonacci cache during one conversion, with a
     # cache just large enough and with one grown by fib(20000): a scan from
     # the top of the cache would differ by ~20000 reads, bisect by O(log).
+    # Only fibonacci binds the list, so patching it there reaches every read.
+    for info in pkgutil.iter_modules(fibc.__path__):
+        module = importlib.import_module(f"fibc.{info.name}")
+        assert module is fibonacci or not hasattr(module, "_FIBS"), info.name
+
     def reads(call, grow):
         fibs = CountingList([1, 2])
-        for module in (fibonacci, zeckendorf, complement):
-            monkeypatch.setattr(module, "_FIBS", fibs)
+        monkeypatch.setattr(fibonacci, "_FIBS", fibs)
         call()  # grows the cache as far as the call itself needs
         if grow:
             fib(20000)
@@ -395,8 +424,10 @@ def test_conversion_cost_independent_of_cache_history(monkeypatch):
         return fibs.reads
 
     bound = 2 * (20000).bit_length()
-    # Both operands lie above F(32): below it fib_rep reads only its table.
-    for call in (lambda: fib_rep(10**12), lambda: fibc_rep(-(10**12))):
+    # Each call reads the cache: fib_rep above F(32) reads F(_B) (below it
+    # only its table), negative fibc_rep its F(j).
+    for call in (lambda: fib_rep(10**12), lambda: fibc_rep(-(10**12)),
+                 lambda: fibc_rep(-(10**6))):
         fresh, grown = reads(call, False), reads(call, True)
         assert fresh > 0
         assert abs(grown - fresh) <= bound
