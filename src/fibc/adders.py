@@ -23,11 +23,6 @@ from .mealy import MealyMachine
 from .zeckendorf import _normalize_binary, fib_rep
 
 START = "start"
-_START_TRANSITIONS = (
-    (START, "0", "", "000.0"),
-    (START, "1", "", "101.7"),
-    (START, "2", "", "100.6"),
-)
 
 
 @cache
@@ -42,11 +37,15 @@ def berstel_adder() -> MealyMachine:
 def complement_adder() -> MealyMachine:
     """The adder extended for the complement system: a fresh initial state
     with three silent transitions choosing the entry point by first digit.
+    A first digit a enters where the plain adder stands after reading a0a,
+    a0 being the word's neutral prefix; the fresh state's final word is
+    that of the plain adder's initial state.
     """
     base = berstel_adder()
-    transitions = list(base.sorted_transitions()) + list(_START_TRANSITIONS)
+    transitions = base.sorted_transitions()
+    transitions += [(START, a, "", base.trace(a + "0" + a)[-1].next_state) for a in "012"]
     final_words = dict(base.final_words)
-    final_words[START] = "000"
+    final_words[START] = base.final_words[base.initial]
     return MealyMachine.build(
         states=(START, *base.states),
         initial=START,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .fibonacci import _check_word, fib
-from .zeckendorf import _B, _fib_pair, _normalize_binary, _top_index, fib_rep, normalize_fib
+from .zeckendorf import _normalize_binary, _top_index, fib_rep, normalize_fib
 
 
 def is_canonical(w: str) -> bool:
@@ -43,8 +43,7 @@ def fibc_rep(n: int) -> str:
     if n >= 0:
         return _canonical(fib_rep(n), "0", 0)
     j = (_top_index(-n) + 1) | 1  # F(j) >= F(t+1) > -n
-    top = fib(j) if j <= _B else _fib_pair(j)[1]
-    return _canonical(fib_rep(top + n), "1", j)
+    return _canonical(fib_rep(fib(j) + n), "1", j)
 
 
 def neutral_prefix(w: str) -> str:

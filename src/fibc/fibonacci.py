@@ -12,20 +12,16 @@ from __future__ import annotations
 
 import threading
 
-_FIBS = [1, 2]  # _FIBS[i] == F(i) for i >= 0; grown on demand under _LOCK
+_B = 1024  # list cap and leaf size; F(_B) < 2**1024, so a leaf fits a float
+_FIBS = [1, 2]  # _FIBS[i] == F(i) for 0 <= i <= _B; grown on demand under _LOCK
 _LOCK = threading.Lock()
-
-
-def _extend_to_index(i: int) -> None:
-    if i < len(_FIBS):
-        return
-    with _LOCK:
-        while len(_FIBS) <= i:
-            _FIBS.append(_FIBS[-1] + _FIBS[-2])
+_CUT_PAIRS: dict[int, tuple[int, int]] = {}  # [m - 1] == _fib_pair(m - 1), cuts m > _B
 
 
 def fib(i: int) -> int:
     """Return F(i) with F(0) = 1, F(1) = 2; defined down to F(-2) = 0.
+
+    Kept in a list up to F(_B), built by _fib_pair above it.
 
     >>> [fib(i) for i in range(-2, 8)]
     [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
@@ -36,8 +32,34 @@ def fib(i: int) -> int:
         return 1
     if i == -2:
         return 0
-    _extend_to_index(i)
+    if i > _B:
+        return _fib_pair(i)[1]
+    if i >= len(_FIBS):
+        with _LOCK:
+            while len(_FIBS) <= i:
+                _FIBS.append(_FIBS[-1] + _FIBS[-2])
     return _FIBS[i]
+
+
+def _fib_pair(k: int) -> tuple[int, int]:
+    """F(k-1) and F(k) for k >= 0: from the list up to _B, above it by
+    F(m+i) = F(m-1)·F(i) + F(m-2)·F(i-1) at the greatest cut m = _B·2^j <= k.
+
+    The pair at a cut, _fib_pair(m - 1), is kept once built; it is built
+    the same way from the cut m/2 and the pair kept there, so one recursion
+    builds every pair, and what is kept is bounded by the largest k asked.
+    """
+    if k <= _B:
+        return fib(k - 1), fib(k)
+    pair = _CUT_PAIRS.get(k)
+    if pair is None:
+        m = _B << ((k // _B).bit_length() - 1)
+        f2, f1 = _fib_pair(m - 1)
+        g0, g1 = _fib_pair(k - m)
+        pair = f1 * g0 + f2 * (g1 - g0), f1 * g1 + f2 * g0
+        if k == 2 * m - 1:
+            _CUT_PAIRS[k] = pair
+    return pair
 
 
 _DROP = {alphabet: str.maketrans("", "", alphabet) for alphabet in ("01", "012")}
@@ -57,13 +79,11 @@ def fib_value(w: str) -> int:
     20
     """
     _check_word(w, "012", "ternary")
-    if not w:
-        return 0
-    _extend_to_index(len(w) - 1)
-    total = 0
-    for i, c in enumerate(reversed(w)):
+    total, f, g = 0, 1, 1  # f, g = F(i), F(i-1) for the digit i places from the right
+    for c in reversed(w):
         if c != "0":
-            total += (ord(c) - 48) * _FIBS[i]
+            total += (ord(c) - 48) * f
+        f, g = f + g, f
     return total
 
 

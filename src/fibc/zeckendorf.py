@@ -19,8 +19,8 @@ Above F(_B) the cuts fall at m = _B·2^j; below it, every 32 digits, each
 chunk's word read from the table.  An estimate x ~ n·phi^-m (fixed point
 above F(_B), a float below) only says where an exact integer search for x
 starts, so no result depends on its accuracy.  The constants of a cut are
-kept once per power of two, and the shared Fibonacci list grows only to
-F(_B).
+kept once per power of two; F(m-1) and F(m-2) come from fibonacci.fib,
+which keeps its list only up to F(_B) and builds the pairs above it.
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
 occurrence at once, and finishes a slow word by a linear leftward cascade.
@@ -32,11 +32,10 @@ from bisect import bisect_right
 from functools import cache
 from math import isqrt
 
-from .fibonacci import _check_word, fib
+from .fibonacci import _B, _check_word, fib
 
 _LOW = 16  # digits per table word; the table covers the low 2 * _LOW digits
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the cascade
-_B = 1024  # leaf size in digits; F(_B) < 2**1024, so a leaf fits a float
 _PHI = (1 + 5**0.5) / 2
 _INV_PHI = (isqrt(5 << 128) - (1 << 64)) >> 1  # floor(2**64 / phi)
 
@@ -175,35 +174,15 @@ def _div_phi(a: int, inv: int, p: int) -> int:
 def _cut_point(j: int) -> tuple[int, int, int, int, int, int]:
     """Constants of the cut at m = _B·2^j, built on first use: F(m-1),
     F(m-2), inv = floor(2^p / phi) with p = 64 bits more than F(m-1) has,
-    and scale ~ 2^e / phi^m to about p bits.
-
-    F(m-1), F(m-2) come by one doubling step from the cut at m/2 (from the
-    shared list at j = 0): F(i) is the usual G(i+2), and G(2h) =
-    G(h)·(2·G(h+1) - G(h)), G(2h+1) = G(h)^2 + G(h+1)^2.  Then
-    phi^m = F(m-1) + F(m-2)/phi.
+    and scale ~ 2^e / phi^m to about p bits, as phi^m = F(m-1) + F(m-2)/phi.
     """
     m = _B << j
-    if j == 0:
-        f1, f2 = fib(m - 1), fib(m - 2)
-    else:
-        h1, h2 = _cut_point(j - 1)[:2]
-        f1, f2 = h1 * h1 + h2 * h2, h2 * (2 * h1 - h2)
+    f1, f2 = fib(m - 1), fib(m - 2)
     p = f1.bit_length() + 64
     inv = (isqrt(5 << 2 * p) - (1 << p)) >> 1
     d = (f1 << p) + f2 * inv  # ~ 2^p·phi^m
     e = d.bit_length()
     return f1, f2, inv, p, (1 << (e + p)) // d, e
-
-
-def _fib_pair(k: int) -> tuple[int, int]:
-    """F(k-1) and F(k) for k >= 0, which negative fibc_rep needs above _B:
-    by F(m+i) = F(m-1)·F(i) + F(m-2)·F(i-1) at the greatest cut m <= k."""
-    if k <= _B:
-        return fib(k - 1), fib(k)
-    j = (k // _B).bit_length() - 1
-    f1, f2 = _cut_point(j)[:2]
-    g0, g1 = _fib_pair(k - (_B << j))
-    return f1 * g0 + f2 * (g1 - g0), f1 * g1 + f2 * g0
 
 
 def is_zeckendorf(w: str) -> bool:

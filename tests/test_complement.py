@@ -11,11 +11,11 @@ from fibc import fibonacci
 from fibc.complement import (canonicalize, cmp_signed, enumerate_canonical,
                              fibc_rep, is_canonical, neutral_prefix, pad_words,
                              signed_key, sum_words)
-from fibc.fibonacci import fib, fibc_value
-from fibc.zeckendorf import _B, fib_rep
+from fibc.fibonacci import _B, fib, fibc_value
+from fibc.zeckendorf import fib_rep
 
 from reference_data import COMPLEMENT_WORDS
-from test_zeckendorf import power_bits
+from test_zeckendorf import own_fib, power_bits
 
 
 def no_11_words(max_len):
@@ -52,13 +52,14 @@ def test_rep_matches_reference_table():
 
 def negative_rep_by_cache(n):
     """fibc_rep(n) for n <= -2 the way it was first written: the odd index
-    j found from the shared Fibonacci cache, the least index k with
-    F(k) >= -n rounded up to odd."""
+    j found by a scan of a Fibonacci list, the least index k with
+    F(k) >= -n rounded up to odd; the list is the tests' own, as fib builds
+    each F(k) above F(_B) from pairs."""
     k = 0
-    while fib(k) < -n:
+    while own_fib(k) < -n:
         k += 1
     j = k | 1
-    w = fib_rep(fib(j) + n)
+    w = fib_rep(own_fib(j) + n)
     return "1" + "0" * (j + 1 - len(w)) + w
 
 
@@ -74,10 +75,10 @@ def test_negative_rep_matches_cache_path():
 
 def test_negative_rep_matches_cache_path_beyond_f31():
     # The odd top index comes from a bound on the word length read off
-    # n.bit_length(), and F(j) from the shared list up to F(_B), above it
-    # from the Fibonacci pair at a cut point _B·2^j: around F(_B), the cut
-    # points and the first digit counts, and at powers of two, where the
-    # bound is loosest or tightest.
+    # n.bit_length(), and F(j) from fib, which keeps its list up to F(_B)
+    # and builds the pairs above it from the cuts _B·2^j: around F(_B), the
+    # cut points and the first digit counts, and at powers of two, where
+    # the bound is loosest or tightest.
     ks = [*range(30, 200), *range(_B - 40, _B + 41)]
     ks += [(_B << j) + s for j in range(1, 5) for s in range(-8, 9)]
     values = [fib(k) + d for k in ks for d in (-1, 0, 1)]

@@ -15,10 +15,9 @@ import fibc
 from fibc import fibonacci, zeckendorf
 from fibc.adders import add_fib, add_fibc, berstel_adder, complement_adder
 from fibc.complement import fibc_rep, sum_words
-from fibc.fibonacci import fib, fib_value
-from fibc.zeckendorf import (_B, _INV_PHI, _ROUNDS, _cut_point, _div_phi, _fib_pair,
-                             _normalize_binary, _top_index, cmp_radix, fib_rep,
-                             is_zeckendorf, normalize_fib)
+from fibc.fibonacci import _B, _fib_pair, fib, fib_value, fibc_value
+from fibc.zeckendorf import (_INV_PHI, _ROUNDS, _cut_point, _div_phi, _normalize_binary,
+                             _top_index, cmp_radix, fib_rep, is_zeckendorf, normalize_fib)
 
 from reference_data import ZECKENDORF_WORDS
 from test_large_operands import binary_words, complement_words, ternary_words
@@ -32,6 +31,16 @@ def canonical_words(max_len):
         yield from frontier
         frontier = [w + d for w in frontier for d in "01"
                     if not (w[-1] == d == "1")]
+
+
+_OWN_FIBS = [1, 1]  # F(-1), F(0), F(1), ...: the tests' own list, not fibc's
+
+
+def own_fib(i):
+    """F(i) for i >= -1 by the plain recurrence on the tests' own list."""
+    while len(_OWN_FIBS) <= i + 1:
+        _OWN_FIBS.append(_OWN_FIBS[-1] + _OWN_FIBS[-2])
+    return _OWN_FIBS[i + 1]
 
 
 def greedy_rep(n):
@@ -194,11 +203,22 @@ def test_div_phi_on_10k_digit_numbers():
 
 
 def test_fib_pair_and_cut_constants():
-    for k in list(range(3 * _B + 65)) + [(_B << j) + s for j in range(5) for s in (-2, 0, 2)]:
-        assert _fib_pair(k) == (fib(k - 1), fib(k))
+    # fibc keeps F(i) in a list up to F(_B) and builds the pairs above it
+    # from the cuts _B·2^j, so check across the cap and around every cut.
+    ks = [*range(3 * _B + 65), *((_B << j) + s for j in range(5) for s in range(-2, 3))]
+    for k in ks:
+        assert fib(k) == own_fib(k), k
+        assert _fib_pair(k) == (own_fib(k - 1), own_fib(k)), k
     for j in range(5):
         m = _B << j
-        assert _cut_point(j)[:2] == (fib(m - 1), fib(m - 2))
+        assert _cut_point(j)[:2] == (own_fib(m - 1), own_fib(m - 2))
+    # Words whose top digits weigh F(i) on both sides of F(_B) and the cuts.
+    rng = random.Random(14)
+    for k in (_B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 3 * _B + 65, (_B << 4) + 2):
+        for w in ("1" + "0" * (k - 1), "2" * k, "".join(rng.choices("012", k=k))):
+            value = sum((ord(c) - 48) * own_fib(i) for i, c in enumerate(reversed(w)))
+            assert fib_value(w) == value, k
+            assert fibc_value(w) == value - (ord(w[0]) - 48) * own_fib(k), k
 
 
 def test_estimates_off_by_three_stay_exact(monkeypatch):
@@ -225,10 +245,14 @@ BIG_CONVERSIONS = """
 import resource
 from fibc import fibonacci
 from fibc.complement import fibc_rep
+from fibc.fibonacci import fib, fib_value, fibc_value
 from fibc.zeckendorf import fib_rep
 
 n = 10**20000
-print(len(fib_rep(n)), len(fibc_rep(-n)), len(fibonacci._FIBS))
+w, v = fib_rep(n), fibc_rep(-n)
+assert fib_value(w) == n and fibc_value(v) == -n
+assert fib(30000) == fib_value("1" + "0" * 30000)
+print(len(w), len(v), len(fibonacci._FIBS))
 # ru_maxrss also counts the test runner's pages at the fork on Linux, so
 # read this image's own peak where the kernel reports it.
 try:
@@ -240,13 +264,16 @@ except OSError:
 
 
 def test_conversions_at_20000_digits_stay_small():
-    # The greedy kept every F(i) up to n: about 380 MB for 10^20000.
+    # Both conversions of 10^20000, both words valued back and F(30000)
+    # keep the shared list at F(_B): a list kept to the length of the word
+    # would hold 95,700 entries, and a greedy that keeps every F(i) up to n
+    # about 380 MB.
     src = Path(fibonacci.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", BIG_CONVERSIONS], cwd=src,
                          capture_output=True, text=True, timeout=120, check=True)
     rep_len, neg_len, cache_len, peak_kb = map(int, out.stdout.split())
     assert (rep_len, neg_len) == (95700, 95703)
-    assert cache_len <= _B + 2
+    assert cache_len == _B + 1
     assert peak_kb < 50 * 1024
 
 
@@ -406,8 +433,9 @@ class CountingList(list):
 
 def test_conversion_cost_independent_of_cache_history(monkeypatch):
     # Reads of the shared Fibonacci cache during one conversion, with a
-    # cache just large enough and with one grown by fib(20000): a scan from
-    # the top of the cache would differ by ~20000 reads, bisect by O(log).
+    # cache just large enough and with one grown by fib(20000), which fills
+    # it toward its cap F(_B) and builds the rest from pairs: a scan from the
+    # top of the cache would differ by ~_B reads, bisect by O(log).
     # Only fibonacci binds the list, so patching it there reaches every read.
     for info in pkgutil.iter_modules(fibc.__path__):
         module = importlib.import_module(f"fibc.{info.name}")
