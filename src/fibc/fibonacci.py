@@ -21,7 +21,10 @@ _CUT_PAIRS: dict[int, tuple[int, int]] = {}  # [m - 1] == _fib_pair(m - 1), cuts
 def fib(i: int) -> int:
     """Return F(i) with F(0) = 1, F(1) = 2; defined down to F(-2) = 0.
 
-    Kept in a list up to F(_B), built by _fib_pair above it.
+    Kept in a list up to F(_B).  Above it, F(i) = F(m-1)·F(i-m) +
+    F(m-2)·F(i-m-1) at the greatest cut m = _B·2^j <= i, from the pair kept
+    at the cut and _fib_pair(i - m): two multiplications where _fib_pair(i)
+    takes four.  The cut index i = 2m - 1 reads its own kept pair.
 
     >>> [fib(i) for i in range(-2, 8)]
     [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
@@ -33,7 +36,12 @@ def fib(i: int) -> int:
     if i == -2:
         return 0
     if i > _B:
-        return _fib_pair(i)[1]
+        m = _B << ((i // _B).bit_length() - 1)
+        if i == 2 * m - 1:
+            return _fib_pair(i)[1]
+        f2, f1 = _fib_pair(m - 1)
+        g0, g1 = _fib_pair(i - m)
+        return f1 * g1 + f2 * g0
     if i >= len(_FIBS):
         with _LOCK:
             while len(_FIBS) <= i:

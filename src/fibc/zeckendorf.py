@@ -5,22 +5,26 @@ represents 0.  fib_rep and fib_value are mutually inverse between canonical
 words and the nonnegative integers, and fib_rep is increasing for the radix
 order (shorter first, then lexicographic).
 
-fib_rep reads an n below F(32) from a table of the Zeckendorf words below
-F(16), built on first use: one bisect and two table reads.  Larger n are
-cut in two, divide and conquer.  A word hi·lo whose part lo has m digits has
-the value F(m-1)·V(hi) + F(m-2)·V'(hi) + V(lo), where V' weighs digit j by
-F(j-1), and V'(hi) = floor((x+1)/phi) for the Zeckendorf word hi of value x.
-So the high part of n is the greatest x with
+fib_rep reads an n below F(32) as two 16-digit blocks from a table of the
+Zeckendorf words below F(16) and their values with 16 zeros appended, built
+on first use.  Larger n are cut in two, divide and conquer.  A word hi·lo
+whose part lo has m digits has the value F(m-1)·V(hi) + F(m-2)·V'(hi) +
+V(lo), where V' weighs digit j by F(j-1), and V'(hi) = floor((x+1)/phi) for
+the Zeckendorf word hi of value x.  So the high part of n is the greatest x
+with
 
     S_m(x) = F(m-1)·x + F(m-2)·floor((x+1)/phi) <= n,
 
 and the low part is the word of n - S_m(x) < F(m), padded to m digits.
-Above F(_B) the cuts fall at m = _B·2^j; below it, every 32 digits, each
-chunk's word read from the table.  An estimate x ~ n·phi^-m (fixed point
-above F(_B), a float below) only says where an exact integer search for x
-starts, so no result depends on its accuracy.  The constants of a cut are
-kept once per power of two; F(m-1) and F(m-2) come from fibonacci.fib,
-which keeps its list only up to F(_B) and builds the pairs above it.
+Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits, each
+chunk read as four 16-digit blocks from the values of the block words
+followed by 48, 32 and 16 zeros (the first two tables built on the first
+leaf).  An estimate x ~ n·phi^-m (fixed point above F(_B), a float below)
+only says where an exact integer search for x starts, so no result depends
+on its accuracy; a leaf checks its estimate exactly and searches only when
+it is wrong.  The constants of a cut are kept once per power of two;
+F(m-1) and F(m-2) come from fibonacci.fib, which keeps its list only up to
+F(_B) and builds the pairs above it.
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
 occurrence at once, and finishes a slow word by a linear leftward cascade.
@@ -28,43 +32,80 @@ occurrence at once, and finishes a slow word by a linear leftward cascade.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cache
 from math import isqrt
 
 from .fibonacci import _B, _check_word, fib
 
-_LOW = 16  # digits per table word; the table covers the low 2 * _LOW digits
+_LOW = 16  # digits per table block; below F(2 * _LOW) a word is two blocks
+_CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _leaf
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the cascade
 _PHI = (1 + 5**0.5) / 2
-_INV_PHI = (isqrt(5 << 128) - (1 << 64)) >> 1  # floor(2**64 / phi)
+# floor(2**128 / phi).  (a * _INV_PHI) >> 128 is floor(a / phi) for every
+# a <= F(_CHUNK) + 2 < 2**46: a·_INV_PHI / 2^128 is below a/phi by less than
+# a·2^-128 < 2^-82, while a/phi is at least 1/(y + a·phi) > 2^-48 above
+# y = floor(a/phi), as (a/phi - y)(y + a·phi) = a^2 - a·y - y^2 is a
+# nonzero integer for a > 0.
+_INV_PHI = (isqrt(5 << 256) - (1 << 128)) >> 1
+_Level = tuple[float, list[int]]  # phi^-p and the values V(a·0^p), see _level
+
+
+def _inv_phi_power(p: int) -> float:
+    """phi^-p to a few ulps, from phi^p = F(p-1) + F(p-2)/phi; _PHI**-p
+    would carry p times the rounding error of _PHI."""
+    return 1 / (fib(p - 1) + fib(p - 2) / _PHI)
+
+
+def _level(p: int) -> _Level:
+    """phi^-p and V(a·0^p), the value of word a followed by p zeros, for the
+    Zeckendorf words a below F(_LOW) in value order, then F(_LOW + p) for
+    the word after them.  The words of length k add F(k-1+p) to the ones
+    below F(k-2)."""
+    values = [0]
+    for k in range(1, _LOW + 1):
+        values += [fib(k - 1 + p) + s for s in values[: fib(k - 2)]]
+    values.append(fib(_LOW + p))
+    return _inv_phi_power(p), values
 
 
 @cache
-def _low_table() -> tuple[list[str], list[int], int]:
+def _low_table() -> tuple[list[str], list[str], tuple[_Level], int]:
     """The Zeckendorf words below F(_LOW) in value order (so words[v] has
-    value v), the value of each followed by _LOW zeros, and F(2 * _LOW).
+    value v), each also zero-padded to _LOW digits, the levels that
+    _low_rep needs below F(2 * _LOW), and F(2 * _LOW).
 
     The words of length k are "1" + w.zfill(k - 1) for the F(k - 2) words w
     below F(k - 2).  Built from this recurrence alone, not from fib_rep or
     complement._no_11_words: the round-trip and order checks compare
     those with each other, which a shared source would make circular.
     """
-    words, shifted = [""], [0]
+    words = [""]
     for k in range(1, _LOW + 1):
-        m = fib(k - 2)
-        words += ["1" + w.zfill(k - 1) for w in words[:m]]
-        shifted += [fib(k - 1 + _LOW) + s for s in shifted[:m]]
-    return words, shifted, fib(2 * _LOW)
+        words += ["1" + w.zfill(k - 1) for w in words[: fib(k - 2)]]
+    padded = [w.zfill(_LOW) for w in words]
+    return words, padded, (_level(_LOW),), fib(2 * _LOW)
 
 
-def _low_rep(n: int, words: list[str], shifted: list[int]) -> str:
-    """Zeckendorf word of 0 <= n < F(2 * _LOW), from the table."""
-    if n < len(words):
-        return words[n]
-    # The high half is the greatest table word whose shifted value fits.
-    i = bisect_right(shifted, n) - 1
-    return words[i] + words[n - shifted[i]].zfill(_LOW)
+def _low_rep(n: int, head: list[str], padded: list[str], levels: tuple[_Level, ...]) -> str:
+    """Digits of 0 <= n < F(_LOW·(len(levels) + 1)), read block by block from
+    _level(p) for p from the highest down to _LOW: the block above p digits
+    is the greatest word a with V(a·0^p) <= n.  The top block is head[a],
+    the others padded[a]: with head = padded, all the digits, zero-padded.
+
+    n = V(a·0^p) + r, with r < F(p) and V(a·0^p) = a·phi^p + F(p-2)·d for a
+    d in (-0.382, 0.618], so n·phi^-p - a lies in (-0.172, 1.448), as
+    F(p-2) < 0.448·phi^p and F(p) < 1.171·phi^p.  Less 1/2, it truncates to
+    a - 1 or a, and one comparison with the table decides.
+    """
+    blocks = head
+    w = ""
+    for scale, shifted in levels:
+        a = int(n * scale - 0.5)
+        a += n >= shifted[a + 1]
+        w += blocks[a]
+        n -= shifted[a]
+        blocks = padded
+    return w + blocks[n]
 
 
 def fib_rep(n: int) -> str:
@@ -78,9 +119,11 @@ def fib_rep(n: int) -> str:
     """
     if n < 0:
         raise ValueError(f"no Fibonacci representation for negative {n}")
-    words, shifted, top = _low_table()
-    if n < top:
-        return _low_rep(n, words, shifted)
+    words, padded, levels, top = _low_table()
+    if n < len(words):
+        return words[n]
+    if n < top:  # n >= F(_LOW), so the top block is not empty
+        return _low_rep(n, words, padded, levels)
     return _rep(n)
 
 
@@ -93,11 +136,8 @@ def _top_index(n: int) -> int:
 
 def _rep(n: int) -> str:
     """fib_rep for any n >= 0, without the sign check."""
-    words, shifted, top = _low_table()
-    if n < top:
-        return _low_rep(n, words, shifted)
     if n < fib(_B):
-        return _leaf(n, words, shifted)
+        return _leaf(n)
     # Cut at the greatest m = _B·2^j <= _top_index(n), lowered while F(m) > n.
     j = (_top_index(n) // _B).bit_length() - 1
     while True:
@@ -115,23 +155,42 @@ def _rep(n: int) -> str:
     return _rep(x) + _rep(n).zfill(_B << j)
 
 
-def _leaf(n: int, words: list[str], shifted: list[int]) -> str:
-    """Word of F(2 * _LOW) <= n < F(_B), cut every 2 * _LOW digits below
-    _top_index(n), each part's word read from the table; a cut above the top
-    digit leaves an empty top part, whose zeros the lstrip drops."""
+def _leaf(n: int) -> str:
+    """Word of 0 <= n < F(_B), cut every _CHUNK digits below _top_index(n),
+    each chunk read as four blocks by _low_rep; a cut above the top digit
+    leaves an empty top chunk, whose zeros the lstrip drops.
+
+    A chunk is below F(_CHUNK) < 2^45, so the float estimate n·phi^-m,
+    whose relative error is a few units of 2^-53, is within one of it
+    (at 80 digits it would not be).  The estimate x is kept when
+    0 <= n - S(x) < S(x+1) - S(x), checked exactly with _INV_PHI, and
+    handed to _cut otherwise.
+    """
+    padded = _low_table()[1]
+    levels, cuts = _leaf_table()
     parts = []
-    append, cut, low_rep = parts.append, _cut, _low_rep
-    for f1, f2, scale in reversed(_leaf_cuts()[: _top_index(n) // (2 * _LOW)]):
-        x, n = cut(n, f1, f2, int(n * scale), _INV_PHI, 64)
-        append(low_rep(x, words, shifted))
-    append(low_rep(n, words, shifted))
-    return "".join([w.zfill(2 * _LOW) for w in parts]).lstrip("0")
+    append = parts.append
+    for f0, f1, f2, scale in reversed(cuts[: _top_index(n) // _CHUNK]):
+        x = int(n * scale)
+        y = (x + 1) * _INV_PHI >> 128
+        rest = n - f1 * x - f2 * y
+        # S(x+1) - S(x) is f0 = F(m) if floor((x+2)/phi) > y, else f1.
+        if rest < 0 or rest >= f1 and (rest >= f0 or (x + 2) * _INV_PHI >> 128 == y):
+            x, rest = _cut(n, f1, f2, x, _INV_PHI, 128)
+        append(_low_rep(x, padded, padded, levels))
+        n = rest
+    append(_low_rep(n, padded, padded, levels))
+    return "".join(parts).lstrip("0")
 
 
 @cache
-def _leaf_cuts() -> tuple[tuple[int, int, float], ...]:
-    """F(m-1), F(m-2) and phi^-m at the cuts m = 32, 64, ... below _B."""
-    return tuple((fib(m - 1), fib(m - 2), _PHI**-m) for m in range(2 * _LOW, _B, 2 * _LOW))
+def _leaf_table() -> tuple[tuple[_Level, ...], tuple[tuple[int, int, int, float], ...]]:
+    """_level(p) for p = 3·_LOW, 2·_LOW, _LOW, and F(m), F(m-1), F(m-2) and
+    phi^-m at the cuts m = _CHUNK, 2·_CHUNK, ... below _B."""
+    levels = (_level(3 * _LOW), _level(2 * _LOW), *_low_table()[2])
+    cuts = tuple((fib(m), fib(m - 1), fib(m - 2), _inv_phi_power(m))
+                 for m in range(_CHUNK, _B, _CHUNK))
+    return levels, cuts
 
 
 def _cut(n: int, f1: int, f2: int, x: int, inv: int, p: int) -> tuple[int, int]:

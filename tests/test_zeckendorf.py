@@ -139,12 +139,13 @@ def power_bits():
 
 
 def test_rep_matches_greedy_at_leaf_and_cut_seams():
-    # Leaves are cut every 32 digits and below F(32) read from the table;
+    # Leaves are cut every 64 digits and below F(32) read from the table;
     # above F(_B) the cuts fall at _B·2^j.  SEAM runs at every k <= 160
     # (each chunk position several times), within 4 below every 32-digit
-    # boundary of a leaf (where the length bound takes one spare cut),
-    # within 64 of the first cut and within 2 of 2·_B and 3·_B; NEAR at
-    # every other k.  SEAM at every k would take ten times as long.
+    # boundary of a leaf (so below every 64-digit cut, where the length
+    # bound takes one spare cut), within 64 of the first cut and within 2
+    # of 2·_B and 3·_B; NEAR at every other k.  SEAM at every k would take
+    # ten times as long.
     spare = 0
     for k in range(3 * _B + 65):
         full = (k <= 160 or (k < _B and -k % 32 <= 4) or abs(k - _B) <= 64
@@ -155,7 +156,7 @@ def test_rep_matches_greedy_at_leaf_and_cut_seams():
                 w, t = fib_rep(n), _top_index(n)
                 assert w == greedy_near(k, d), (k, d)
                 assert len(w) - 1 <= t <= len(w) + 1, (k, d)
-                spare += fib(32) <= n < fib(_B) and t // 32 > (len(w) - 1) // 32
+                spare += fib(32) <= n < fib(_B) and t // 64 > (len(w) - 1) // 64
     assert spare > 1000
     # The length bound _top_index comes from n.bit_length(), so it is
     # loosest or tightest at powers of two: every one in a leaf, and those
@@ -163,6 +164,20 @@ def test_rep_matches_greedy_at_leaf_and_cut_seams():
     for b in power_bits():
         for n in (2**b - 1, 2**b, 2**b + 1):
             assert fib_rep(n) == greedy_rep(n), n
+
+
+def test_rep_matches_greedy_at_block_seams():
+    # A leaf reads each 64-digit chunk as four 16-digit blocks, each from
+    # an estimate checked against the values V(a·0^p) of the block words a
+    # followed by p zeros.  The estimate is at its extremes at every such
+    # value and just below it: these and one above, for every block word a
+    # and p = 16, 32, 48, about 23k values below F(64) < 2^45.
+    for p in (16, 32, 48):
+        for a in range(fib(16)):
+            v = sum(own_fib(i + p) for i, c in enumerate(reversed(greedy_rep(a))) if c == "1")
+            for n in (v - 1, v, v + 1):
+                if n >= 0:
+                    assert fib_rep(n) == greedy_rep(n), (p, a, n)
 
 
 def test_rep_at_cut_points():
@@ -185,7 +200,14 @@ def div_phi_oracle(a):
 
 def test_div_phi_exhaustive():
     for a in range(10**6 + 1):
-        assert _div_phi(a, _INV_PHI, 64) == div_phi_oracle(a)
+        assert _div_phi(a, _INV_PHI, 128) == div_phi_oracle(a)
+    # A leaf takes floor(a/phi) as (a * _INV_PHI) >> 128, with no search,
+    # for a <= F(64) + 2: check it where a/phi comes closest to an integer,
+    # a = F(k) + d, and at random.
+    near = [own_fib(k) + d for k in range(67) for d in range(-2, 3) if own_fib(k) + d >= 0]
+    rng = random.Random(15)
+    for a in near + [rng.randrange(own_fib(64) + 3) for _ in range(10**5)]:
+        assert ((a * _INV_PHI) >> 128) == div_phi_oracle(a), a
     # A 1/phi of 4 bits leaves up to a/16 candidates to the exact search.
     for a in range(10**4):
         assert _div_phi(a, 9, 4) == div_phi_oracle(a)
@@ -222,23 +244,65 @@ def test_fib_pair_and_cut_constants():
 
 
 def test_estimates_off_by_three_stay_exact(monkeypatch):
-    # Every cut starts its search from an estimate of x; one that is off by
-    # three, or comes with a 1/phi of two spare bits, must not change a word.
+    # Every cut starts its search from an estimate of x: above F(_B) the one
+    # handed to _cut, in a leaf n·phi^-m, which the leaf checks itself and
+    # hands to _cut only when it is wrong.  One that is off by three, or a
+    # search with a 1/phi of two spare bits, must not change a word.
     rng = random.Random(3)
     values = [rng.randrange(fib(k)) for k in (40, 500, 1024, 1100, 2500, 5000)]
     values += [fib(k) + d for k in (33, 64, _B, _B + 1, 2 * _B + 1) for d in (-1, 0, 1)]
     expected = [greedy_rep(n) for n in values]
     cut = zeckendorf._cut
+    levels, cuts = zeckendorf._leaf_table()
+    estimates = []
+
+    def skewed(skew):
+        class Scale(float):  # phi^-m whose product with n is off by skew
+            def __rmul__(self, n):
+                estimates.append(n)
+                return n * float(self) + skew
+        return levels, tuple((f0, f1, f2, Scale(s)) for f0, f1, f2, s in cuts)
+
     for skew in (-3, 3):
         monkeypatch.setattr(zeckendorf, "_cut", lambda n, f1, f2, x, inv, p:
                             cut(n, f1, f2, x + skew, inv, p))
+        monkeypatch.setattr(zeckendorf, "_leaf_table", lambda: skewed(skew))
         assert [fib_rep(n) for n in values] == expected
 
+    # Leaf estimates still off by 3 all fail the leaf's check, so the coarse
+    # search starts from each of them.
+    searches = []
+
     def coarse(n, f1, f2, x, inv, p):
+        searches.append(x)
         q = max(p - x.bit_length() - 2, 0)
         return cut(n, f1, f2, x, inv >> q, p - q)
     monkeypatch.setattr(zeckendorf, "_cut", coarse)
+    estimates.clear()
     assert [fib_rep(n) for n in values] == expected
+    assert len(searches) >= len(estimates) > 100
+
+
+def test_leaf_estimates_are_within_one(monkeypatch):
+    # The search never decides a word, so only its cost shows a leaf
+    # estimate gone wrong: each must be within one of the chunk, and the
+    # search runs on about one chunk in eight (603 of 4,654 here: 436
+    # estimates one above the chunk, 167 one below).
+    steps, chunks = [], 0
+    cut = zeckendorf._cut
+
+    def counting(n, f1, f2, x, inv, p):
+        found = cut(n, f1, f2, x, inv, p)
+        steps.append(abs(found[0] - x))
+        return found
+    monkeypatch.setattr(zeckendorf, "_cut", counting)
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randrange(fib(_B))
+        chunks += _top_index(n) // 64
+        assert fib_rep(n) == greedy_rep(n)
+    assert max(steps) == 1
+    assert 0.05 * chunks < len(steps) < 0.2 * chunks
 
 
 BIG_CONVERSIONS = """
