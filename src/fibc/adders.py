@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .complement import _canonical, _digit_sum, _pad, fibc_rep, is_canonical
+from .complement import _canonical, _pad, fibc_rep, is_canonical
 from .derivation import derive_adder
 from .fibonacci import fib_value, fibc_value
 from .mealy import MealyMachine
@@ -54,27 +54,28 @@ def complement_adder() -> MealyMachine:
     )
 
 
-def _addition(u: str, v: str, signed: bool) -> tuple[str, str, str, str, str]:
+def _addition(u: str, v: str, signed: bool) -> tuple[str, str, str, str]:
     """The word-level pipeline behind every addition, for canonical words
     (complement words if `signed`, else Zeckendorf words) that need no
     validation.  Returns its stages: both operands padded to equal length,
-    their digit-wise sum, the adder's output word on it, and last the
-    result.  Each stage is linear in the word length; the result comes from
-    the adder's output without a detour through int.
+    the adder's output word on their digit-wise sum, and last the result.
+    The adder reads that sum straight from the padded operands (`run` with
+    `addend`), so it is never built as a word.  Each stage is linear in the
+    word length; the result comes from the adder's output without a detour
+    through int.
     """
     if signed:
         u, v = _pad(u, v)
     else:
         width = max(len(u), len(v))
         u, v = u.zfill(width), v.zfill(width)
-    total = _digit_sum(u, v)
-    raw = (complement_adder() if signed else berstel_adder()).run(total)
+    raw = (complement_adder() if signed else berstel_adder()).run(u, addend=v)
     if signed:
         # An odd-length sum gives an odd-length output with its sign digit.
         result = _canonical(_normalize_binary(raw), raw[0], len(raw))
     else:
         result = _normalize_binary(raw)
-    return u, v, total, raw, result
+    return u, v, raw, result
 
 
 def _run_parts(machine: MealyMachine, word: str) -> tuple[str, str, str]:

@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .adders import (_addition, _run_parts, adder_table, berstel_adder,
                      complement_adder, format_table_csv, format_table_text)
-from .complement import enumerate_canonical, fibc_rep
+from .complement import _digit_sum, enumerate_canonical, fibc_rep
 from .fibonacci import (fib_value, fibc_value, twos_complement_rep,
                         twos_complement_value)
 from .mealy import MealyMachine
@@ -114,7 +114,8 @@ def _cmd_add(args: argparse.Namespace) -> int:
     if not signed and (m < 0 or n < 0):
         raise ValueError("the fib system represents nonnegative integers only")
     rep, value_of = _SYSTEMS[args.system]
-    u, v, total, _, result = _addition(rep(m), rep(n), signed)
+    u, v, _, result = _addition(rep(m), rep(n), signed)
+    total = _digit_sum(u, v)
     machine = _MACHINES["T" if signed else "B"]()
     value = value_of(result)
 

@@ -91,7 +91,9 @@ def sum_words(u: str, v: str) -> str:
 
 
 def _digit_sum(u: str, v: str) -> str:
-    """Digit-wise sum of two binary words of equal length.
+    """Digit-wise sum of two binary words of equal length, for `sum_words`
+    and the sum line that `fibc add` prints; the adders read the sum from
+    the operands without building it (see `MealyMachine.run`).
 
     Adds the ASCII codes as one big int each: every byte pair sums to at
     most 98, so no carry crosses a byte, and subtracting one "0" per byte

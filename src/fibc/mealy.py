@@ -7,26 +7,44 @@ that whole word; `trace` gives the path that produced it.  Machines are
 immutable once built, apart from the memo behind `run`, which only caches
 what the transitions determine; states are opaque strings, kept in
 breadth-first discovery order from the initial state so that exports are
-deterministic.
+deterministic.  Input symbols are the digits 0 to 3.
 
 `trace` is the only loop that steps one symbol at a time.  `run` reads its
-word in chunks of `_BLOCK` symbols, the shorter last chunk included, and
-looks each up in a per-machine memo state -> {chunk: (next state, output)}
-that starts empty and is filled from `trace` on a miss.  It never holds more
-than states x (|A| + |A|^2 + ... + |A|^_BLOCK) entries for input alphabet A,
-states x 1,092 for the adders (12,012 for the signed adder; 200,000 small
-additions fill about 2,400).
+word as an int in base 4, which packs four symbols into each byte of the
+int's big-endian bytes; the first len % 4 symbols, if any, get a byte of
+their own.  Each state has a row of `_ROW` entries, one per byte value
+(0-255) and then one per head byte of 1, 2 or 3 symbols (from `_HEAD`),
+each entry being (next state's row, output) and filled from `trace` on the
+first miss.  So one step of `run` is one list index and one unpack, and the
+memo never holds more than states x (|A| + |A|^2 + |A|^3 + |A|^4) entries
+for input alphabet A: states x 120 for the adders.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-_BLOCK = 6  # symbols per memoised step of MealyMachine.run
+_HEAD = (0, 256, 260, 276)  # _HEAD[h]: row index of the first h-symbol head, h = 1, 2, 3
+_ROW = 340  # row entries: 256 four-symbol chunks, then 4 + 16 + 64 heads
+
+
+def _chunk(index: int) -> str:
+    """The input symbols behind a row index (see the module docstring)."""
+    if index < 256:
+        count, b = 4, index
+    else:
+        count = 1 if index < 260 else 2 if index < 276 else 3
+        b = index - _HEAD[count]
+    return "".join("0123"[b >> 2 * k & 3] for k in reversed(range(count)))
+
+
+def _foreign(word: str, symbols: bytes) -> bool:
+    """True iff the word has a character other than the given ASCII symbols."""
+    return not word.isascii() or bool(word.encode().translate(None, symbols))
 
 
 class MissingTransitionError(ValueError):
@@ -55,15 +73,20 @@ class MealyMachine:
     initial: str
     transitions: Mapping[tuple[str, str], tuple[str, str]] = field(repr=False)
     final_words: Mapping[str, str] = field(repr=False)
-    # state -> {chunk of 1 to _BLOCK symbols: (next state, output)}, filled by run()
-    _memo: defaultdict[str, dict[str, tuple[str, str]]] = field(
-        init=False, repr=False, compare=False)
+    # state -> its row: _ROW entries, each None or (next state's row,
+    # output), filled by run(), and then the state
+    _rows: dict[str, list] = field(init=False, repr=False, compare=False)
+    _symbols: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Read-only copies: a cached machine is shared by every caller.
         object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
         object.__setattr__(self, "final_words", MappingProxyType(dict(self.final_words)))
-        object.__setattr__(self, "_memo", defaultdict(dict))
+        symbols = self.input_alphabet
+        if not set(symbols) <= set("0123"):
+            raise ValueError(f"input symbols must be the digits 0 to 3, got {symbols}")
+        object.__setattr__(self, "_symbols", "".join(symbols).encode())
+        object.__setattr__(self, "_rows", {})
 
     @classmethod
     def build(
@@ -131,39 +154,76 @@ class MealyMachine:
     def transition_count(self) -> int:
         return len(self.transitions)
 
-    def run(self, word: str, start: str | None = None) -> str:
+    def run(self, word: str, start: str | None = None, *,
+            addend: str | None = None) -> str:
         """Read a word and return its output with the last state's final
         word appended; `trace` gives the path that produced it.
 
-        The word is read in chunks of `_BLOCK` symbols, the last one possibly
-        shorter, each looked up in the machine's memo.  A chunk seen for the
-        first time from its state is filled from `trace`, unless it hits a
-        missing transition, which is reported at its position in the word
-        and stores nothing.  Running the empty word gives the start state's
+        With `addend`, read the digit-wise sum of two equal-length binary
+        words, `word` and `addend`, without building it; anything else
+        there is a ValueError.
+
+        The word is read as `int(word, 4)`, four symbols to a byte, each
+        byte looked up in its state's row (see the module docstring).  An
+        entry seen for the first time is filled from `trace` on its chunk.
+        A word with a symbol outside the input alphabet, or with a chunk
+        that hits a missing transition, goes to `trace` as a whole, which
+        reports the missing transition at its position; a failed fill
+        stores nothing.  Running the empty word gives the start state's
         final word.
         """
         state = self.initial if start is None else start
         if state not in self.final_words:
             raise ValueError(f"unknown start state {state!r}")
-        memo = self._memo
+        n = len(word)
+        if addend is None:
+            if _foreign(word, self._symbols):
+                self.trace(word, state)  # raises at the first foreign symbol
+            number = int(word or "0", 4)
+        else:
+            # Base 4 gives each binary digit a 2-bit field: no carries.
+            if len(addend) != n or _foreign(word + addend, b"01"):
+                raise ValueError("run with addend needs two binary words of equal "
+                                 f"length, got lengths {n} and {len(addend)}")
+            number = int(word or "0", 4) + int(addend or "0", 4)
+        data = number.to_bytes((n + 3) // 4, "big")
+        row = self._rows.get(state) or self._row(state)
+        fill = self._fill
         pieces: list[str] = []
         append = pieces.append
-        for i in range(0, len(word), _BLOCK):
-            chunk = word[i:i + _BLOCK]
-            try:
-                hit = memo[state][chunk]
-            except KeyError:
-                try:
-                    steps = self.trace(chunk, state)
-                except MissingTransitionError as err:
-                    raise MissingTransitionError(
-                        err.state, err.symbol, err.position + i) from None
-                hit = memo[state][chunk] = (
-                    steps[-1].next_state, "".join(s.output for s in steps))
-            state, output = hit
-            append(output)
-        append(self.final_words[state])
+        chunks = iter(data)
+        try:
+            if n % 4:
+                index = _HEAD[n % 4] + next(chunks)
+                row, output = row[index] or fill(row, index)
+                append(output)
+            for b in chunks:
+                row, output = row[b] or fill(row, b)
+                append(output)
+        except MissingTransitionError:
+            # Some chunk has no path, so neither has the word: trace the
+            # word for the position.
+            if addend is not None:
+                word = "".join(map(_chunk, data))[-n:]
+            self.trace(word, state)
+            raise
+        append(self.final_words[row[_ROW]])
         return "".join(pieces)
+
+    def _row(self, state: str) -> list:
+        """The state's row of `run`'s memo, made empty on first use."""
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows[state] = [None] * _ROW + [state]
+        return row
+
+    def _fill(self, row: list, index: int) -> tuple[list, str]:
+        """Fill a row entry from `trace` on its chunk, which stores nothing
+        if the chunk hits a missing transition."""
+        steps = self.trace(_chunk(index), row[_ROW])
+        hit = row[index] = (self._row(steps[-1].next_state),
+                            "".join(s.output for s in steps))
+        return hit
 
     def trace(self, word: str, start: str | None = None) -> list[TraceStep]:
         """Step-by-step path taken while reading a word."""

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fibc.adders import berstel_adder, complement_adder
 from fibc.derivation import derive_adder
-from fibc.mealy import _BLOCK, MealyMachine, MissingTransitionError
+from fibc.complement import _digit_sum
+from fibc.mealy import _HEAD, _ROW, MealyMachine, MissingTransitionError
 
 from test_large_operands import ternary_words
 
@@ -169,14 +170,32 @@ def test_trace_concatenates_to_run_output():
         assert output + adder.final_words[steps[-1].next_state] == adder.run(word)
 
 
-def assert_memo_matches_trace(machine):
-    entries = [(state, chunk, hit) for state, row in machine._memo.items()
-               for chunk, hit in row.items()]
-    bound = len(machine.states) * sum(3 ** k for k in range(1, _BLOCK + 1))
-    assert 0 < len(entries) <= bound
+def row_index(chunk):
+    """Where `run` keeps a chunk in a state's row: four symbols at their
+    base-4 value, a head of 1 to 3 symbols after the 256 of them."""
+    value = int(chunk, 4)
+    return value if len(chunk) == 4 else _HEAD[len(chunk)] + value
+
+
+CHUNKS = {row_index(chunk): chunk for k in range(1, 5)
+          for chunk in ("".join(t) for t in product("0123", repeat=k))}
+
+
+def assert_memo_matches_trace(machine, filled=True):
+    entries = [(state, CHUNKS[index], hit) for state, row in machine._rows.items()
+               for index, hit in enumerate(row[:_ROW]) if hit is not None]
+    assert all(row[_ROW] == state and len(row) == _ROW + 1
+               for state, row in machine._rows.items())
+    bound = len(machine.states) * (3 + 9 + 27 + 81)
+    assert len(entries) <= bound
+    assert entries or not filled
     for state, chunk, (nxt, out) in entries:
-        assert 1 <= len(chunk) <= _BLOCK
-        assert traced_run(machine, chunk, state)[:2] == (out, nxt)
+        assert nxt is machine._rows[nxt[_ROW]]
+        assert traced_run(machine, chunk, state)[:2] == (out, nxt[_ROW])
+
+
+def test_row_layout_covers_every_chunk_once():
+    assert sorted(CHUNKS) == list(range(_ROW))
 
 
 def test_block_run_matches_trace_exhaustively():
@@ -190,10 +209,10 @@ def test_block_run_matches_trace_exhaustively():
         for start in machine.states:
             for word in words:
                 expected[start, word] = traced_word(machine, word, start)
-                machine._memo.clear()
+                machine._rows.clear()
                 assert machine.run(word, start) == expected[start, word]
                 assert machine.run(word, start) == expected[start, word]
-        machine._memo.clear()
+        machine._rows.clear()
         for (start, word), result in expected.items():
             assert machine.run(word, start) == result
         assert_memo_matches_trace(machine)
@@ -207,40 +226,166 @@ def test_block_run_matches_trace_on_long_words(machine, word, data):
     assert machine.run(word, start) == traced_word(machine, word, start)
 
 
-@pytest.mark.parametrize("position", [0, 3, 6, 13, 19])
+def holey_adder():
+    """The plain adder without its transition from the initial state on 2."""
+    adder = berstel_adder()
+    return MealyMachine.build(
+        states=adder.states, initial=adder.initial,
+        transitions=[t for t in adder.sorted_transitions()
+                     if t[:2] != (adder.initial, "2")],
+        final_words=dict(adder.final_words))
+
+
+def holey_word(machine, length, position, rng):
+    """A random ternary word that first reaches the initial state's missing
+    2 at `position`."""
+    while True:
+        word, state = "", machine.initial
+        for _ in range(position):
+            symbol = rng.choice([a for a in "012" if (state, a) in machine.transitions])
+            word += symbol
+            state = machine.transitions[state, symbol][0]
+        if state == machine.initial:
+            return word + "2" + "".join(rng.choice("012") for _ in range(length - position - 1))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2, 3, 6, 13, 19])
 def test_block_run_missing_transition(position):
-    # 20 symbols: three whole chunks, then a two-symbol last chunk (18, 19).
-    machine = complement_adder()
+    # Words of 20 to 23 symbols, so heads of 0 to 3 symbols (length % 4)
+    # come before the whole chunks of four.
+    machine = holey_adder()
     rng = random.Random(position)
-    word = "".join(rng.choice("012") for _ in range(20))
-    bad = word[:position] + "3" + word[position + 1:]
-    with pytest.raises(MissingTransitionError) as expected:
-        machine.trace(bad)
-    machine._memo.clear()
-    with pytest.raises(MissingTransitionError) as err:
-        machine.run(bad)
-    assert (err.value.state, err.value.symbol, err.value.position) == (
-        expected.value.state, "3", position)
-    cut = position - position % _BLOCK
-    entry = traced_run(machine, bad[:cut])[1]
-    assert bad[cut:cut + _BLOCK] not in machine._memo.get(entry, {})
-    assert machine.run(word) == traced_word(machine, word)
+    for length in (20, 21, 22, 23):
+        bad = holey_word(machine, length, position, rng)
+        with pytest.raises(MissingTransitionError) as expected:
+            machine.trace(bad)
+        assert (expected.value.position, expected.value.symbol) == (position, "2")
+        machine._rows.clear()
+        with pytest.raises(MissingTransitionError) as err:
+            machine.run(bad)
+        assert (err.value.state, err.value.symbol, err.value.position) == (
+            expected.value.state, "2", position)
+        # The same sum read through `addend` fails at the same place.
+        u = bad.replace("2", "1")
+        v = "".join(str(int(a) - int(b)) for a, b in zip(bad, u))
+        machine._rows.clear()
+        with pytest.raises(MissingTransitionError) as err:
+            machine.run(u, addend=v)
+        assert (err.value.state, err.value.symbol, err.value.position) == (
+            expected.value.state, "2", position)
+        # The failed fill stored nothing; every earlier fill matches the trace.
+        head = length % 4
+        cut = 0 if position < head else position - (position - head) % 4
+        chunk = bad[:head] if position < head else bad[cut:cut + 4]
+        entry = traced_run(machine, bad[:cut])[1]
+        assert machine._rows.get(entry, [None] * _ROW)[row_index(chunk)] is None
+        assert_memo_matches_trace(machine, filled=False)
+        # A symbol that no state reads is reported just as well.
+        foreign = bad[:position] + "3" + bad[position + 1:]
+        with pytest.raises(MissingTransitionError) as err:
+            machine.run(foreign)
+        assert (err.value.symbol, err.value.position) == ("3", position)
+        assert machine.run(bad[:position]) == traced_word(machine, bad[:position])
 
 
 def test_warm_run_reads_only_the_memo(monkeypatch):
-    # 13 symbols: two whole chunks, then a one-symbol last chunk.
+    # 13 symbols: a one-symbol head, then three whole chunks.
     machine = complement_adder()
     word = "2010202221012"
-    expected = machine.run(word)
+    u, v = "1010101010101", "1000101000001"
+    expected = machine.run(word), machine.run(u, addend=v)
 
     def no_trace(*args):
         raise AssertionError("trace called on a warm run")
 
     monkeypatch.setattr(MealyMachine, "trace", no_trace)
-    assert machine.run(word) == expected
-    machine._memo.clear()
+    assert (machine.run(word), machine.run(u, addend=v)) == expected
+    machine._rows.clear()
     with pytest.raises(AssertionError, match="warm run"):
         machine.run(word)
+
+
+def binary_words(k):
+    return ["".join(t) for t in product("01", repeat=k)]
+
+
+def test_addend_reads_the_digit_sum_exhaustively():
+    # Every pair of equal-length binary words of length <= 6, from every
+    # state of both adders.
+    for machine in (berstel_adder(), complement_adder()):
+        for start in machine.states:
+            for k in range(7):
+                words = binary_words(k)
+                for u in words:
+                    for v in words:
+                        assert (machine.run(u, start, addend=v)
+                                == machine.run(_digit_sum(u, v), start))
+
+
+@st.composite
+def binary_pairs(draw):
+    k = draw(st.integers(min_value=0, max_value=10_000))
+    u, v = (format(draw(st.integers(0, 2**k - 1)), "b").zfill(k) if k else ""
+            for _ in range(2))
+    return u, v
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([berstel_adder(), complement_adder()]), binary_pairs(),
+       st.data())
+def test_addend_matches_trace_on_long_words(machine, pair, data):
+    start = data.draw(st.sampled_from(machine.states))
+    u, v = pair
+    total = _digit_sum(u, v)
+    assert machine.run(u, start, addend=v) == traced_word(machine, total, start)
+    assert machine.run(total, start) == traced_word(machine, total, start)
+
+
+@pytest.mark.parametrize("word", ["1_0", " 10", "+10", "\uff11\uff10", "\u0661\u0660"])
+def test_run_rejects_what_int_would_parse(word):
+    # int() reads each of these as 4 in base 4; run must not.
+    assert int(word, 4) == 4
+    for machine in (berstel_adder(), complement_adder()):
+        with pytest.raises(MissingTransitionError) as expected:
+            machine.trace(word)
+        with pytest.raises(MissingTransitionError) as err:
+            machine.run(word)
+        assert (err.value.state, err.value.symbol, err.value.position) == (
+            expected.value.state, expected.value.symbol, expected.value.position)
+
+
+@pytest.mark.parametrize("word, addend", [
+    ("01", "1"), ("", "0"), ("0", ""), ("2", "0"), ("0", "2"), ("1_0", "100"),
+    ("10", " 10"), ("\uff11", "1"), ("1", "\u0661"), ("11", "3"),
+])
+def test_addend_must_be_binary_and_as_long(word, addend):
+    with pytest.raises(ValueError) as err:
+        berstel_adder().run(word, addend=addend)
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("symbol", ["4", "9", "a", "01", "\uff11"])
+def test_symbols_outside_0_to_3_are_rejected(symbol):
+    with pytest.raises(ValueError, match="digits 0 to 3"):
+        MealyMachine(states=("a",), initial="a",
+                     transitions={("a", "0"): ("a", ""), ("a", symbol): ("a", "1")},
+                     final_words={"a": ""})
+    if len(symbol) == 1:
+        with pytest.raises(ValueError, match="digits 0 to 3"):
+            tiny_machine(transitions=[("a", "0", "0", "a"), ("a", symbol, "1", "b")])
+
+
+def test_run_reads_symbol_3():
+    # 3 is the largest symbol a 2-bit field holds.
+    m = tiny_machine(transitions=[
+        ("a", "0", "0", "a"), ("a", "3", "1", "b"),
+        ("b", "0", "", "b"), ("b", "3", "0", "a"),
+    ])
+    rng = random.Random(3)
+    for length in range(12):
+        for _ in range(20):
+            word = "".join(rng.choice("03") for _ in range(length))
+            assert m.run(word) == traced_word(m, word)
 
 
 def test_block_run_from_state_without_transitions():
