@@ -8,7 +8,8 @@ written down here: it comes from the first-principles construction in
 `derivation`, and the tests compare it with the paper's figure.
 
 Addition stays on words from end to end: the adder's output is normalized
-by local rewriting, never through its integer value.
+by local rewriting, and through its integer value only when that rewriting
+is left unfinished (see zeckendorf._normalize_binary).
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ def _addition(u: str, v: str, signed: bool) -> tuple[str, str, str, str]:
     validation.  Returns its stages: both operands padded to equal length,
     the adder's output word on their digit-wise sum, and last the result.
     The adder reads that sum straight from the padded operands (`run` with
-    `addend`), so it is never built as a word.  Each stage is linear in the
-    word length; the result comes from the adder's output without a detour
-    through int.
+    `addend`), so it is never built as a word.  The result comes from the
+    adder's output by rewriting, linear in the word length; only a word that
+    the rewriting rounds leave unfinished goes through int.
     """
     if signed:
         u, v = _pad(u, v)

@@ -83,16 +83,39 @@ def fib_value(w: str) -> int:
     """Value of a digit word with Fibonacci weights: the digit j places from
     the right weighs F(j).  Digits may be 0, 1 or 2; the empty word is 0.
 
+    Divide and conquer at the cuts of fib_rep, see _values.
+
     >>> fib_value("101010")
     20
     """
     _check_word(w, "012", "ternary")
-    total, f, g = 0, 1, 1  # f, g = F(i), F(i-1) for the digit i places from the right
-    for c in reversed(w):
-        if c != "0":
-            total += (ord(c) - 48) * f
-        f, g = f + g, f
-    return total
+    return _values(w)[0]
+
+
+def _values(w: str) -> tuple[int, int]:
+    """V(w) = fib_value(w) and V'(w), which weighs digit j by F(j-1).
+
+    A word of at most _B digits is read from the left: appending a digit d
+    maps (V, V') to (V + V' + d, V + d), as F(j+1) = F(j) + F(j-1).  A
+    longer one is split w = hi·lo at the greatest cut m = _B·2^j below its
+    length, lo of m digits, and F(i+m) = F(m-1)·F(i) + F(m-2)·F(i-1) gives
+    V(w) = F(m-1)·V(hi) + F(m-2)·V'(hi) + V(lo) and
+    V'(w) = F(m-2)·V(hi) + F(m-3)·V'(hi) + V'(lo).
+    """
+    if len(w) > _B:
+        m = _B << ((len(w) - 1) // _B).bit_length() - 1
+        f2, f1 = _fib_pair(m - 1)
+        v, v1 = _values(w[:-m])
+        lo, lo1 = _values(w[-m:])
+        return f1 * v + f2 * v1 + lo, f2 * v + (f1 - f2) * v1 + lo1
+    v = v1 = 0
+    for c in w:
+        if c == "0":
+            v, v1 = v + v1, v
+        else:
+            d = ord(c) - 48
+            v, v1 = v + v1 + d, v + d
+    return v, v1
 
 
 def fibc_value(w: str) -> int:

@@ -264,29 +264,22 @@ def addition_check(radius: int) -> CheckResult:
 
 def order_check(radius: int, max_len: int) -> CheckResult:
     """Representations sort by value under the signed word order, and the
-    words up to a given length are exactly an integer interval."""
+    canonical words up to a given length, in enumeration order, are the
+    representations of an integer interval containing 0."""
     rep = complement.fibc_rep
     max_len = _odd(max_len)
     name = "value-ordered representations"
     if rep(0) != "0":
         return CheckResult(name, False, 0, "counterexample rep(0)")
-    result = _sweep(name, f"integers to +-{radius}, words to length {max_len}",
-                    (range(-radius + 1, radius + 1),
-                     lambda n: complement.cmp_signed(rep(n - 1), rep(n)) < 0, "n={}".format))
-    if max_len < 1 or not result.ok:
-        return result
-    words = complement.enumerate_canonical(max_len)
-    values = [fibonacci.fibc_value(w) for w in words]
-    checked = result.checked + len(words)
-    lo = values[0]
-    if values != list(range(lo, lo + len(values))):
-        return CheckResult(name, False, checked, "counterexample values not contiguous")
-    if lo > 0 or lo + len(values) <= 0:
-        return CheckResult(name, False, checked, "counterexample interval misses 0")
-    if [rep(v) for v in values] != words:
-        return CheckResult(name, False, checked,
-                           "counterexample enumeration is not the representation image")
-    return result._replace(checked=checked)
+    # The 1-leading words are the negatives, so word i has value lo + i.
+    words = _canonical_words(max_len)
+    lo = -sum(w[0] == "1" for w in words)
+    return _sweep(name, f"integers to +-{radius}, words to length {max_len}",
+                  (range(-radius + 1, radius + 1),
+                   lambda n: complement.cmp_signed(rep(n - 1), rep(n)) < 0, "n={}".format),
+                  (enumerate(words, lo),
+                   lambda c: fibonacci.fibc_value(c[1]) == c[0] and rep(c[0]) == c[1],
+                   lambda c: f"{c[1]} at n={c[0]}"))
 
 
 def append_zero_check(max_len: int) -> CheckResult:

@@ -27,7 +27,8 @@ F(m-1) and F(m-2) come from fibonacci.fib, which keeps its list only up to
 F(_B) and builds the pairs above it.
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
-occurrence at once, and finishes a slow word by a linear leftward cascade.
+occurrence at once, and converts a word still not canonical after them
+through its value: fib_value, split at the same cuts, then fib_rep.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from __future__ import annotations
 from functools import cache
 from math import isqrt
 
-from .fibonacci import _B, _check_word, fib
+from .fibonacci import _B, _check_word, fib, fib_value
 
 _LOW = 16  # digits per table block; below F(2 * _LOW) a word is two blocks
 _CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _leaf
-_ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the cascade
+_ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the int round trip
 _PHI = (1 + 5**0.5) / 2
 # floor(2**128 / phi).  (a * _INV_PHI) >> 128 is floor(a / phi) for every
 # a <= F(_CHUNK) + 2 < 2**46: a·_INV_PHI / 2^128 is below a/phi by less than
@@ -271,7 +272,6 @@ def normalize_fib(w: str) -> str:
     Binary words are rewritten 011 -> 100 on an int, every occurrence at
     once per round (see _normalize_binary); a word with a 2 is first run
     through the plain adder, which returns a binary word of the same value.
-    Linear in the length of w.
 
     >>> normalize_fib("2")
     '10'
@@ -290,7 +290,8 @@ def _normalize_binary(w: str) -> str:
     Rewrites every 011 -> 100 at once (F(j+2) = F(j+1) + F(j)) on the int
     whose bit j weighs F(j): occurrences never share a digit, so * 7 flips
     three disjoint bits for each.  A run of k ones takes about k/2 rounds,
-    so after _ROUNDS rounds the linear _cascade finishes the word.
+    so a word still not canonical after _ROUNDS rounds is converted through
+    its value instead.
     """
     x = int(w or "0", 2)
     for _ in range(_ROUNDS):
@@ -298,27 +299,5 @@ def _normalize_binary(w: str) -> str:
         if not pairs:
             return format(x, "b") if x else ""
         x ^= (pairs & ~(x >> 2)) * 7
-    return _cascade(format(x, "b"))
+    return _rep(fib_value(format(x, "b")))
 
-
-def _cascade(w: str) -> str:
-    """Canonical word with the same Fibonacci value as a binary word.
-
-    Rewrites 011 -> 100 from the left: the first 11 factor is always
-    preceded by a 0, and the rewrite can only create a new 11 to its left,
-    so each rewrite cascades leftward until the prefix is 11-free, then the
-    scan jumps to the next 11.  Every rewrite removes a 1, so the work is
-    linear.  One guard 0 in front suffices: the value of a length-k word is
-    below F(k+1).
-    """
-    b = bytearray(b"0")
-    b += w.encode()
-    i = b.find(b"11")
-    while i > 0:  # never 0, by the guard
-        b[i - 1 : i + 2] = b"100"
-        j = i - 2
-        while j > 0 and b[j] == 49:  # the new 1 at j+1 made an 11 at j
-            b[j - 1 : j + 2] = b"100"
-            j -= 2
-        i = b.find(b"11", i + 1)
-    return b.lstrip(b"0").decode()

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,13 @@ def test_verify_small_depth(capsys):
 def test_verify_depth_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--depth", "0")
     assert code == 0
+
+
+def test_verify_depth_3_output_is_pinned(capsys):
+    # Every line byte for byte, details included, not only names and counts.
+    code, out, _ = run_cli(capsys, "verify", "--depth", "3")
+    assert code == 0
+    assert out == (Path(__file__).parent / "verify_depth_3.txt").read_text()
 
 
 # Full stdout of the commands that print a run's parts, byte for byte.

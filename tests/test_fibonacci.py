@@ -1,11 +1,14 @@
+import random
 import threading
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibc.adders import add_words
 from fibc.complement import canonicalize, is_canonical, neutral_prefix, pad_words
-from fibc.fibonacci import (fib, fib_value, fibc_value, twos_complement_rep,
+from fibc.fibonacci import (_B, fib, fib_value, fibc_value, twos_complement_rep,
                             twos_complement_value)
 from fibc.zeckendorf import is_zeckendorf, normalize_fib
 from fibc.verify import identities_check
@@ -112,6 +115,56 @@ def test_fibc_value_relation_to_fib_value():
         for tup in product("01", repeat=length):
             w = "".join(tup)
             assert fibc_value(w) == fib_value(w) - (ord(w[0]) - 48) * fib(length)
+
+
+def rolling_value(w):
+    """Fibonacci value by rolling (F(i), F(i-1)) up the word from the right,
+    one digit at a time: the oracle for fib_value, which splits long words
+    at cuts.  Quadratic, and independent of fib and its kept pairs."""
+    total, f, g = 0, 1, 1
+    for c in reversed(w):
+        if c != "0":
+            total += (ord(c) - 48) * f
+        f, g = f + g, f
+    return total
+
+
+def assert_values_match_oracle(w):
+    assert fib_value(w) == rolling_value(w), len(w)
+    if w:  # F(k) is the value of 1·0^k
+        lead = rolling_value(w[0] + "0" * len(w))
+        assert fibc_value(w) == rolling_value(w) - lead, len(w)
+
+
+def test_values_match_rolling_oracle_on_short_words():
+    # Every ternary word of length <= 10 and binary word of length <= 16.
+    for alphabet, max_len in (("012", 10), ("01", 16)):
+        for length in range(max_len + 1):
+            for tup in product(alphabet, repeat=length):
+                assert_values_match_oracle("".join(tup))
+
+
+def test_values_match_rolling_oracle_at_the_cuts():
+    # Lengths _B·2^j + d, either side of each cut that fib_value splits at.
+    rng = random.Random(17)
+    for k in ((_B << j) + d for j in range(5) for d in range(-2, 3)):
+        for _ in range(3):
+            assert_values_match_oracle("".join(rng.choices("012", k=k)))
+        assert_values_match_oracle("1" + "0" * (k - 1))
+
+
+@st.composite
+def long_ternary_words(draw):
+    # Past the first cut and up to 12,000 digits: cuts 1024 to 8192.
+    k = draw(st.integers(min_value=_B + 1, max_value=12_000))
+    u, v = (format(draw(st.integers(0, 2**k - 1)), "b").zfill(k) for _ in "uv")
+    return "".join("012"[int(a) + int(b)] for a, b in zip(u, v))
+
+
+@settings(deadline=None, max_examples=60)
+@given(long_ternary_words())
+def test_values_match_rolling_oracle_on_long_words(w):
+    assert_values_match_oracle(w)
 
 
 def test_twos_complement_value_examples():

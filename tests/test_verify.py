@@ -78,3 +78,17 @@ def test_complement_round_trip_reports_the_odd_length_it_sweeps():
     assert result.ok
     assert result.detail == "integers to +-300, words to length 7"
     assert result.checked == 601 + 34  # the canonical words to length 7
+
+
+def test_order_check_names_a_swap_in_the_representation(monkeypatch):
+    # fibc_rep with the words of 3 and 4 swapped: the integer sweep fails
+    # at n = 4; with no integers to sweep, the enumeration fails at the
+    # word of 3, which fibc_rep(3) no longer returns.
+    from fibc import complement
+    rep = complement.fibc_rep
+    swapped = {3: 4, 4: 3}
+    monkeypatch.setattr(complement, "fibc_rep", lambda n: rep(swapped.get(n, n)))
+    for radius, detail in ((10, "counterexample n=4"), (0, f"counterexample {rep(3)} at n=3")):
+        result = verify.order_check(radius, 5)
+        assert not result.ok
+        assert result.detail == detail

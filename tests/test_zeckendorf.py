@@ -305,8 +305,19 @@ def test_leaf_estimates_are_within_one(monkeypatch):
     assert 0.05 * chunks < len(steps) < 0.2 * chunks
 
 
-BIG_CONVERSIONS = """
+# The child's own peak memory in kB, printed last.  ru_maxrss also counts
+# the test runner's pages at the fork on Linux, so read this image's own
+# peak where the kernel reports it.
+PEAK = """
 import resource
+try:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+BIG_CONVERSIONS = """
 from fibc import fibonacci
 from fibc.complement import fibc_rep
 from fibc.fibonacci import fib, fib_value, fibc_value
@@ -317,14 +328,15 @@ w, v = fib_rep(n), fibc_rep(-n)
 assert fib_value(w) == n and fibc_value(v) == -n
 assert fib(30000) == fib_value("1" + "0" * 30000)
 print(len(w), len(v), len(fibonacci._FIBS))
-# ru_maxrss also counts the test runner's pages at the fork on Linux, so
-# read this image's own peak where the kernel reports it.
-try:
-    with open("/proc/self/status") as status:
-        print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
-except OSError:
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+""" + PEAK
+
+
+def run_child(script, timeout):
+    """The ints a child Python prints, run on this checkout's package."""
+    src = Path(fibonacci.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", script], cwd=src,
+                         capture_output=True, text=True, timeout=timeout, check=True)
+    return map(int, out.stdout.split())
 
 
 def test_conversions_at_20000_digits_stay_small():
@@ -332,12 +344,31 @@ def test_conversions_at_20000_digits_stay_small():
     # keep the shared list at F(_B): a list kept to the length of the word
     # would hold 95,700 entries, and a greedy that keeps every F(i) up to n
     # about 380 MB.
-    src = Path(fibonacci.__file__).resolve().parent.parent
-    out = subprocess.run([sys.executable, "-c", BIG_CONVERSIONS], cwd=src,
-                         capture_output=True, text=True, timeout=120, check=True)
-    rep_len, neg_len, cache_len, peak_kb = map(int, out.stdout.split())
+    rep_len, neg_len, cache_len, peak_kb = run_child(BIG_CONVERSIONS, 120)
     assert (rep_len, neg_len) == (95700, 95703)
     assert cache_len == _B + 1
+    assert peak_kb < 50 * 1024
+
+
+HUGE_ROUND_TRIP = """
+from fibc.complement import fibc_rep
+from fibc.fibonacci import fib_value, fibc_value
+from fibc.zeckendorf import fib_rep
+
+n = 10**100000
+w = fib_rep(n)
+assert fib_value(w) == n
+for m in (n, -n):
+    assert fibc_value(fibc_rep(m)) == m
+print(len(w))
+""" + PEAK
+
+
+def test_round_trip_at_100000_decimal_digits():
+    # 10^100000 and its negative, through words of about 478,500 digits
+    # valued at cuts of 1024 to 262,144 digits, in bounded memory.
+    rep_len, peak_kb = run_child(HUGE_ROUND_TRIP, 60)
+    assert rep_len == 478497
     assert peak_kb < 50 * 1024
 
 
@@ -405,9 +436,9 @@ def test_normalize_binary_matches_int_oracle():
 
 
 def cascade_oracle(w):
-    """The leftward cascade that normalized every word before the
-    bit-parallel rounds: the reference on words too long for the int round
-    trip, which would grow the shared Fibonacci cache to their length."""
+    """Rewrite 011 -> 100 from the left, each rewrite cascading leftward:
+    the reference for the slow families that does not go through the
+    value, as _normalize_binary does after its rounds."""
     b = bytearray(b"0")
     b += w.encode()
     i = b.find(b"11")
@@ -431,11 +462,12 @@ SIZES = (50_000, 100_000, 14_286)
 
 
 def test_normalize_binary_slow_families():
-    # Either side of the switch to the cascade, against the int round trip.
+    # Either side of the switch to the int round trip, against it and
+    # against the cascade, which does not go through the value.
     for family in FAMILIES:
         for k in range(1, 3 * _ROUNDS + 1):
             w = family(k)
-            assert _normalize_binary(w) == fib_rep(fib_value(w))
+            assert _normalize_binary(w) == fib_rep(fib_value(w)) == cascade_oracle(w)
 
 
 def test_normalize_binary_slow_families_at_1e5_digits():
@@ -457,14 +489,16 @@ def test_normalize_binary_matches_int_oracle_on_long_words(w):
 
 
 def test_cascade_runs_only_past_the_rounds(monkeypatch):
+    # The slow words, whose carries cascade past _ROUNDS rounds, and only
+    # they, are converted through their value.
     calls = []
-    cascade = zeckendorf._cascade
+    value = zeckendorf.fib_value
 
     def counting(w):
         calls.append(len(w))
-        return cascade(w)
+        return value(w)
 
-    monkeypatch.setattr(zeckendorf, "_cascade", counting)
+    monkeypatch.setattr(zeckendorf, "fib_value", counting)
     for family, k, slow in zip(FAMILIES, SIZES, (True, True, False)):
         calls.clear()
         _normalize_binary(family(k))
