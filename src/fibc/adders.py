@@ -15,6 +15,7 @@ is left unfinished (see zeckendorf._normalize_binary).
 from __future__ import annotations
 
 from functools import cache
+from operator import index
 from typing import NamedTuple
 
 from .complement import _canonical, _pad, fibc_rep, is_canonical
@@ -108,6 +109,7 @@ def add_fib(m: int, n: int) -> str:
     >>> add_fib(33, 25)
     '100000100'
     """
+    m, n = index(m), index(n)
     if m < 0 or n < 0:
         raise ValueError("Fibonacci addition is defined for nonnegative integers")
     return _addition(fib_rep(m), fib_rep(n), signed=False)[-1]
@@ -128,7 +130,7 @@ def sub_fibc(m: int, n: int) -> str:
     >>> sub_fibc(3, 10)
     '1001001'
     """
-    return add_fibc(m, -n)
+    return add_fibc(m, -index(n))
 
 
 class TableRow(NamedTuple):

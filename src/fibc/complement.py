@@ -10,6 +10,7 @@ equal-length alignment (and hence digit-wise addition) possible.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator
 
 from .fibonacci import _check_word, fib
@@ -40,6 +41,7 @@ def fibc_rep(n: int) -> str:
     >>> fibc_rep(0), fibc_rep(-1), fibc_rep(19), fibc_rep(-10)
     ('0', '1', '0101001', '1000100')
     """
+    n = index(n)
     if n >= 0:
         return _canonical(fib_rep(n), "0", 0)
     j = (_top_index(-n) + 1) | 1  # F(j) >= F(t+1) > -n
@@ -156,9 +158,7 @@ def signed_key(w: str) -> tuple[int, int, str]:
 def cmp_signed(u: str, v: str) -> int:
     """Three-way comparison for the signed word order (see signed_key)."""
     ku, kv = signed_key(u), signed_key(v)
-    if ku == kv:
-        return 0
-    return -1 if ku < kv else 1
+    return (ku > kv) - (ku < kv)
 
 
 def enumerate_canonical(max_len: int) -> list[str]:

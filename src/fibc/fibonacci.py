@@ -11,6 +11,7 @@ F(-2) = 0.
 from __future__ import annotations
 
 import threading
+from operator import index
 
 _B = 1024  # list cap and leaf size; F(_B) < 2**1024, so a leaf fits a float
 _FIBS = [1, 2]  # _FIBS[i] == F(i) for 0 <= i <= _B; grown on demand under _LOCK
@@ -29,12 +30,11 @@ def fib(i: int) -> int:
     >>> [fib(i) for i in range(-2, 8)]
     [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
     """
+    i = index(i)
     if i < -2:
         raise ValueError(f"Fibonacci index {i} out of range (must be >= -2)")
-    if i == -1:
-        return 1
-    if i == -2:
-        return 0
+    if i < 0:
+        return i + 2  # F(-1) = 1, F(-2) = 0
     if i > _B:
         m = _B << ((i // _B).bit_length() - 1)
         if i == 2 * m - 1:

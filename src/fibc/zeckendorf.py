@@ -19,12 +19,12 @@ and the low part is the word of n - S_m(x) < F(m), padded to m digits.
 Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits, each
 chunk read as four 16-digit blocks from the values of the block words
 followed by 48, 32 and 16 zeros (the first two tables built on the first
-leaf).  An estimate x ~ n·phi^-m (fixed point above F(_B), a float below)
-only says where an exact integer search for x starts, so no result depends
-on its accuracy; a leaf checks its estimate exactly and searches only when
-it is wrong.  The constants of a cut are kept once per power of two;
-F(m-1) and F(m-2) come from fibonacci.fib, which keeps its list only up to
-F(_B) and builds the pairs above it.
+leaf).  _settle steps an estimate x ~ n·phi^-m (fixed point above F(_B),
+a float below) by one while n - S(x) is negative or at least S(x+1) - S(x),
+which is F(m) or F(m-1), so no result depends on the estimate's accuracy.
+The constants of a cut are kept once per power of two; F(m), F(m-1) and
+F(m-2) come from fibonacci.fib, which keeps its list only up to F(_B) and
+builds the pairs above it.
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
 occurrence at once, and converts a word still not canonical after them
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import isqrt
+from operator import index
 
 from .fibonacci import _B, _check_word, fib, fib_value
 
@@ -42,12 +43,17 @@ _LOW = 16  # digits per table block; below F(2 * _LOW) a word is two blocks
 _CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _leaf
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the int round trip
 _PHI = (1 + 5**0.5) / 2
-# floor(2**128 / phi).  (a * _INV_PHI) >> 128 is floor(a / phi) for every
-# a <= F(_CHUNK) + 2 < 2**46: a·_INV_PHI / 2^128 is below a/phi by less than
-# a·2^-128 < 2^-82, while a/phi is at least 1/(y + a·phi) > 2^-48 above
-# y = floor(a/phi), as (a/phi - y)(y + a·phi) = a^2 - a·y - y^2 is a
-# nonzero integer for a > 0.
-_INV_PHI = (isqrt(5 << 256) - (1 << 128)) >> 1
+
+
+def _inv_phi(p: int) -> int:  # floor(2^p / phi) = floor((sqrt(5)·2^p - 2^p) / 2)
+    return (isqrt(5 << 2 * p) - (1 << p)) >> 1
+
+
+# (a * _INV_PHI) >> 128 is floor(a / phi) for every a <= F(_CHUNK) + 2 < 2**46:
+# a·_INV_PHI / 2^128 is below a/phi by less than a·2^-128 < 2^-82, while a/phi
+# is at least 1/(y + a·phi) > 2^-48 above y = floor(a/phi), as
+# (a/phi - y)(y + a·phi) = a^2 - a·y - y^2 is a nonzero integer for a > 0.
+_INV_PHI = _inv_phi(128)
 _Level = tuple[float, list[int]]  # phi^-p and the values V(a·0^p), see _level
 
 
@@ -118,6 +124,7 @@ def fib_rep(n: int) -> str:
     >>> fib_rep(20)
     '101010'
     """
+    n = index(n)
     if n < 0:
         raise ValueError(f"no Fibonacci representation for negative {n}")
     words, padded, levels, top = _low_table()
@@ -141,18 +148,18 @@ def _rep(n: int) -> str:
         return _leaf(n)
     # Cut at the greatest m = _B·2^j <= _top_index(n), lowered while F(m) > n.
     j = (_top_index(n) // _B).bit_length() - 1
-    while True:
-        f1, f2, inv, p, scale, e = _cut_point(j)
-        if f1 + f2 <= n:
-            break
+    while _cut_point(j)[0] > n:
         j -= 1
+    f0, f1, f2, inv, p, scale, e = _cut_point(j)
     # x ~ n·scale / 2^e from the top k bits of each; phi^m has e - p bits,
     # so k is 64 bits more than x has.
     k = n.bit_length() - e + p + 64
     s, t = max(n.bit_length() - k, 0), max(scale.bit_length() - k, 0)
     x = ((n >> s) * (scale >> t)) >> (e - s - t)
     q = max(p - x.bit_length() - 64, 0)  # 1/phi to 64 bits more than x has
-    x, n = _cut(n, f1, f2, x, inv >> q, p - q)
+    inv, p = inv >> q, p - q
+    y = _div_phi(x + 1, inv, p)
+    x, n = _settle(x, y, n - f1 * x - f2 * y, f0, f1, inv, p)
     return _rep(x) + _rep(n).zfill(_B << j)
 
 
@@ -164,23 +171,20 @@ def _leaf(n: int) -> str:
     A chunk is below F(_CHUNK) < 2^45, so the float estimate n·phi^-m,
     whose relative error is a few units of 2^-53, is within one of it
     (at 80 digits it would not be).  The estimate x is kept when
-    0 <= n - S(x) < S(x+1) - S(x), checked exactly with _INV_PHI, and
-    handed to _cut otherwise.
+    0 <= n - S(x) < F(m-1) <= S(x+1) - S(x), checked exactly with _INV_PHI,
+    and settled by _settle otherwise.
     """
     padded = _low_table()[1]
     levels, cuts = _leaf_table()
     parts = []
-    append = parts.append
     for f0, f1, f2, scale in reversed(cuts[: _top_index(n) // _CHUNK]):
         x = int(n * scale)
         y = (x + 1) * _INV_PHI >> 128
-        rest = n - f1 * x - f2 * y
-        # S(x+1) - S(x) is f0 = F(m) if floor((x+2)/phi) > y, else f1.
-        if rest < 0 or rest >= f1 and (rest >= f0 or (x + 2) * _INV_PHI >> 128 == y):
-            x, rest = _cut(n, f1, f2, x, _INV_PHI, 128)
-        append(_low_rep(x, padded, padded, levels))
-        n = rest
-    append(_low_rep(n, padded, padded, levels))
+        n -= f1 * x + f2 * y
+        if not 0 <= n < f1:
+            x, n = _settle(x, y, n, f0, f1, _INV_PHI, 128)
+        parts.append(_low_rep(x, padded, padded, levels))
+    parts.append(_low_rep(n, padded, padded, levels))
     return "".join(parts).lstrip("0")
 
 
@@ -194,25 +198,22 @@ def _leaf_table() -> tuple[tuple[_Level, ...], tuple[tuple[int, int, int, float]
     return levels, cuts
 
 
-def _cut(n: int, f1: int, f2: int, x: int, inv: int, p: int) -> tuple[int, int]:
-    """The greatest x with S(x) = f1·x + f2·floor((x+1)/phi) <= n, and
-    n - S(x), searched from the estimate x; f1 and f2 are F(m-1) and F(m-2)
-    at the cut m, and inv = floor(2^p / phi) with p bits more than x has.
-
-    S(x+1) - S(x) is F(m) or F(m-1), as floor((x+2)/phi) exceeds
-    floor((x+1)/phi) or not.
+def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tuple[int, int]:
+    """The greatest x with S(x) <= n at the cut m, and n - S(x), stepped to
+    from an estimate x >= 0 with y = floor((x+1)/phi) and rest = n - S(x);
+    f0, f1 are F(m), F(m-1), and inv = floor(2^p / phi), p bits more than x
+    has.  S(x+1) - S(x) is F(m) or F(m-1), as floor((x+2)/phi) exceeds y or
+    not, so a step costs one _div_phi and one addition, no product with F.
     """
-    if x < 0:
-        x = 0
-    while True:
-        y = _div_phi(x + 1, inv, p)
-        rest = n - f1 * x - f2 * y
-        if rest < 0:  # S(0) = 0, so x stays >= 0
-            x -= 1
-        elif rest >= f1 and (rest - f1 >= f2 or _div_phi(x + 2, inv, p) == y):
-            x += 1
-        else:
-            return x, rest
+    while rest < 0:  # S(0) = 0 <= n, so x stays >= 0
+        z = _div_phi(x, inv, p)
+        x, y, rest = x - 1, z, rest + (f0 if z < y else f1)
+    while rest >= f1:
+        z = _div_phi(x + 2, inv, p)
+        if z > y and rest < f0:
+            break
+        x, y, rest = x + 1, z, rest - (f0 if z > y else f1)
+    return x, rest
 
 
 def _div_phi(a: int, inv: int, p: int) -> int:
@@ -231,18 +232,18 @@ def _div_phi(a: int, inv: int, p: int) -> int:
 
 
 @cache
-def _cut_point(j: int) -> tuple[int, int, int, int, int, int]:
-    """Constants of the cut at m = _B·2^j, built on first use: F(m-1),
+def _cut_point(j: int) -> tuple[int, int, int, int, int, int, int]:
+    """Constants of the cut at m = _B·2^j, built on first use: F(m), F(m-1),
     F(m-2), inv = floor(2^p / phi) with p = 64 bits more than F(m-1) has,
     and scale ~ 2^e / phi^m to about p bits, as phi^m = F(m-1) + F(m-2)/phi.
     """
     m = _B << j
     f1, f2 = fib(m - 1), fib(m - 2)
     p = f1.bit_length() + 64
-    inv = (isqrt(5 << 2 * p) - (1 << p)) >> 1
+    inv = _inv_phi(p)
     d = (f1 << p) + f2 * inv  # ~ 2^p·phi^m
     e = d.bit_length()
-    return f1, f2, inv, p, (1 << (e + p)) // d, e
+    return f1 + f2, f1, f2, inv, p, (1 << (e + p)) // d, e
 
 
 def is_zeckendorf(w: str) -> bool:
@@ -259,11 +260,8 @@ def cmp_radix(u: str, v: str) -> int:
     """Radix-order comparison: by length, ties broken lexicographically.
     Returns a negative, zero or positive int as u is below, equal or above v.
     """
-    if len(u) != len(v):
-        return -1 if len(u) < len(v) else 1
-    if u == v:
-        return 0
-    return -1 if u < v else 1
+    a, b = (len(u), u), (len(v), v)
+    return (a > b) - (a < b)
 
 
 def normalize_fib(w: str) -> str:

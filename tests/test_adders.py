@@ -7,7 +7,7 @@ from fibc.adders import (TableRow, adder_table, add_fib, add_fibc, add_words,
                          format_table_text, sub_fibc)
 from fibc.cli import main
 from fibc.complement import fibc_rep
-from fibc.fibonacci import fib_value, fibc_value
+from fibc.fibonacci import fib, fib_value, fibc_value
 from fibc.zeckendorf import fib_rep
 
 from reference_data import ADDER_ROWS
@@ -160,6 +160,36 @@ def test_addition_on_huge_operands():
     assert add_fib(10**25, 10**25) == fib_rep(2 * 10**25)
     assert add_fibc(10**25, -(10**25)) == "0"
     assert add_fibc(-(10**25), -(10**25)) == fibc_rep(-2 * 10**25)
+
+
+class Index:
+    """An integer-like operand with nothing but __index__."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+def test_integer_like_operands_at_every_size():
+    # Below F(32) a word is read from a table, above it from the cuts, so
+    # the operand is coerced at the entry points, not where its bits are read.
+    for v in (5, 10**6, 10**12, 10**400):
+        assert fib_rep(Index(v)) == fib_rep(v)
+        with pytest.raises(ValueError):
+            fib_rep(Index(-v))
+        assert fibc_rep(Index(v)) == fibc_rep(v)
+        assert fibc_rep(Index(-v)) == fibc_rep(-v)
+        assert add_fib(Index(v), Index(3)) == fib_rep(v + 3)
+        assert add_fibc(Index(-v), Index(3)) == fibc_rep(3 - v)
+        assert sub_fibc(Index(3), Index(v)) == fibc_rep(3 - v)
+    assert fib(Index(5)) == fib(5) and fib(Index(2000)) == fib(2000)
+    for bad in (2.0, 1e12):
+        for call in (fib, fib_rep, fibc_rep, lambda n: fibc_rep(-n),
+                     lambda n: add_fib(n, 1), lambda n: add_fibc(1, n)):
+            with pytest.raises(TypeError):
+                call(bad)
 
 
 def test_addition_agrees_with_integers():

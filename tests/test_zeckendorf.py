@@ -17,7 +17,8 @@ from fibc.adders import add_fib, add_fibc, berstel_adder, complement_adder
 from fibc.complement import fibc_rep, sum_words
 from fibc.fibonacci import _B, _fib_pair, fib, fib_value, fibc_value
 from fibc.zeckendorf import (_INV_PHI, _ROUNDS, _cut_point, _div_phi, _normalize_binary,
-                             _top_index, cmp_radix, fib_rep, is_zeckendorf, normalize_fib)
+                             _settle, _top_index, cmp_radix, fib_rep, is_zeckendorf,
+                             normalize_fib)
 
 from reference_data import ZECKENDORF_WORDS
 from test_large_operands import binary_words, complement_words, ternary_words
@@ -215,7 +216,7 @@ def test_div_phi_exhaustive():
 
 def test_div_phi_on_10k_digit_numbers():
     rng = random.Random(12)
-    inv, p = _cut_point(6)[2:4]  # 1/phi to about 45,500 bits
+    _, _, _, inv, p, _, _ = _cut_point(6)  # 1/phi to about 45,500 bits
     for _ in range(40):
         a = rng.randrange(10**9999, 10**10000)  # about 33,200 bits
         assert _div_phi(a, inv, p) == div_phi_oracle(a)
@@ -233,7 +234,9 @@ def test_fib_pair_and_cut_constants():
         assert _fib_pair(k) == (own_fib(k - 1), own_fib(k)), k
     for j in range(5):
         m = _B << j
-        assert _cut_point(j)[:2] == (own_fib(m - 1), own_fib(m - 2))
+        f0, f1, f2, inv, p, _, _ = _cut_point(j)
+        assert (f0, f1, f2) == (own_fib(m), own_fib(m - 1), own_fib(m - 2))
+        assert inv == div_phi_oracle(1 << p)  # floor(2^p / phi)
     # Words whose top digits weigh F(i) on both sides of F(_B) and the cuts.
     rng = random.Random(14)
     for k in (_B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 3 * _B + 65, (_B << 4) + 2):
@@ -243,18 +246,25 @@ def test_fib_pair_and_cut_constants():
             assert fibc_value(w) == value - (ord(w[0]) - 48) * own_fib(k), k
 
 
+def settle_from(x, y, rest, f0, f1, x2):
+    """_settle's arguments moved from the estimate x to x2 >= 0: rest =
+    n - S(x) becomes n - S(x2), with the oracle's floor((x2+1)/phi)."""
+    y2 = div_phi_oracle(x2 + 1)
+    return x2, y2, rest + f1 * (x - x2) + (f0 - f1) * (y - y2)
+
+
 def test_estimates_off_by_three_stay_exact(monkeypatch):
-    # Every cut starts its search from an estimate of x: above F(_B) the one
-    # handed to _cut, in a leaf n·phi^-m, which the leaf checks itself and
-    # hands to _cut only when it is wrong.  One that is off by three, or a
-    # search with a 1/phi of two spare bits, must not change a word.
+    # Every cut steps from an estimate of x: above F(_B) the one that _rep
+    # hands to _settle, in a leaf n·phi^-m, which the leaf keeps itself when
+    # n - S(x) is in [0, F(m-1)) and hands to _settle otherwise.  One that
+    # is off by three, or steps with a 1/phi of two spare bits, must not
+    # change a word.
     rng = random.Random(3)
     values = [rng.randrange(fib(k)) for k in (40, 500, 1024, 1100, 2500, 5000)]
     values += [fib(k) + d for k in (33, 64, _B, _B + 1, 2 * _B + 1) for d in (-1, 0, 1)]
     expected = [greedy_rep(n) for n in values]
-    cut = zeckendorf._cut
     levels, cuts = zeckendorf._leaf_table()
-    estimates = []
+    estimates, precisions = [], set()
 
     def skewed(skew):
         class Scale(float):  # phi^-m whose product with n is off by skew
@@ -264,45 +274,72 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
         return levels, tuple((f0, f1, f2, Scale(s)) for f0, f1, f2, s in cuts)
 
     for skew in (-3, 3):
-        monkeypatch.setattr(zeckendorf, "_cut", lambda n, f1, f2, x, inv, p:
-                            cut(n, f1, f2, x + skew, inv, p))
+        def off(x, y, rest, f0, f1, inv, p, skew=skew):
+            precisions.add(p)
+            return _settle(*settle_from(x, y, rest, f0, f1, max(x + skew, 0)), f0, f1, inv, p)
+        monkeypatch.setattr(zeckendorf, "_settle", off)
         monkeypatch.setattr(zeckendorf, "_leaf_table", lambda: skewed(skew))
         assert [fib_rep(n) for n in values] == expected
+    assert 128 in precisions and len(precisions) > 1  # leaves and upper cuts
 
     # Leaf estimates still off by 3 all fail the leaf's check, so the coarse
-    # search starts from each of them.
+    # steps start from each of them.
     searches = []
 
-    def coarse(n, f1, f2, x, inv, p):
+    def coarse(x, y, rest, f0, f1, inv, p):
         searches.append(x)
         q = max(p - x.bit_length() - 2, 0)
-        return cut(n, f1, f2, x, inv >> q, p - q)
-    monkeypatch.setattr(zeckendorf, "_cut", coarse)
+        return _settle(x, y, rest, f0, f1, inv >> q, p - q)
+    monkeypatch.setattr(zeckendorf, "_settle", coarse)
     estimates.clear()
     assert [fib_rep(n) for n in values] == expected
     assert len(searches) >= len(estimates) > 100
 
 
 def test_leaf_estimates_are_within_one(monkeypatch):
-    # The search never decides a word, so only its cost shows a leaf
-    # estimate gone wrong: each must be within one of the chunk, and the
-    # search runs on about one chunk in eight (603 of 4,654 here: 436
-    # estimates one above the chunk, 167 one below).
-    steps, chunks = [], 0
-    cut = zeckendorf._cut
+    # _settle never decides a word, so only its cost shows a leaf estimate
+    # gone wrong: each must be within one of the chunk, and x moves on about
+    # one chunk in eight (603 of 4,654 here: 436 estimates one above the
+    # chunk, 167 one below).  The leaf also hands over the right estimates
+    # with n - S(x) in [F(m-1), F(m)), so _settle is called on about a
+    # third of the chunks, and only the calls that move x count here.
+    moves, chunks = [], 0
 
-    def counting(n, f1, f2, x, inv, p):
-        found = cut(n, f1, f2, x, inv, p)
-        steps.append(abs(found[0] - x))
+    def counting(x, y, rest, f0, f1, inv, p):
+        found = _settle(x, y, rest, f0, f1, inv, p)
+        if found[0] != x:
+            moves.append(abs(found[0] - x))
         return found
-    monkeypatch.setattr(zeckendorf, "_cut", counting)
+    monkeypatch.setattr(zeckendorf, "_settle", counting)
     rng = random.Random(16)
     for _ in range(300):
         n = rng.randrange(fib(_B))
         chunks += _top_index(n) // 64
         assert fib_rep(n) == greedy_rep(n)
-    assert max(steps) == 1
-    assert 0.05 * chunks < len(steps) < 0.2 * chunks
+    assert max(moves) == 1
+    assert 0.05 * chunks < len(moves) < 0.2 * chunks
+
+
+def test_settle_steps_exhaustively():
+    # At each cut m, from the true x + d for |d| <= 3 (x + d >= 0), for
+    # every n < F(2m): the start sits up to three steps of F(m) or F(m-1)
+    # above or below the answer.
+    for m in range(2, 13):
+        f0, f1, f2 = own_fib(m), own_fib(m - 1), own_fib(m - 2)
+
+        def s_of(x):
+            return f1 * x + f2 * div_phi_oracle(x + 1)
+        x, steps = 0, set()
+        for n in range(own_fib(2 * m)):
+            while s_of(x + 1) <= n:  # brute force: the greatest x with S(x) <= n
+                steps.add(s_of(x + 1) - s_of(x))
+                x += 1
+            rest = n - s_of(x)
+            for d in range(-3, 4):
+                if x + d >= 0:
+                    start = settle_from(0, 0, n, f0, f1, x + d)  # from S(0) = 0
+                    assert _settle(*start, f0, f1, _INV_PHI, 128) == (x, rest), (m, n, d)
+        assert steps == {f0, f1}, m
 
 
 # The child's own peak memory in kB, printed last.  ru_maxrss also counts
