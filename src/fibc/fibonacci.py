@@ -25,7 +25,7 @@ def fib(i: int) -> int:
     Kept in a list up to F(_B).  Above it, F(i) = F(m-1)·F(i-m) +
     F(m-2)·F(i-m-1) at the greatest cut m = _B·2^j <= i, from the pair kept
     at the cut and _fib_pair(i - m): two multiplications where _fib_pair(i)
-    takes four.  The cut index i = 2m - 1 reads its own kept pair.
+    takes four.  At i = 2m - 1 both pairs are the one kept at the cut.
 
     >>> [fib(i) for i in range(-2, 8)]
     [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
@@ -37,8 +37,6 @@ def fib(i: int) -> int:
         return i + 2  # F(-1) = 1, F(-2) = 0
     if i > _B:
         m = _B << ((i // _B).bit_length() - 1)
-        if i == 2 * m - 1:
-            return _fib_pair(i)[1]
         f2, f1 = _fib_pair(m - 1)
         g0, g1 = _fib_pair(i - m)
         return f1 * g1 + f2 * g0
@@ -154,6 +152,7 @@ def twos_complement_rep(n: int) -> str:
     >>> twos_complement_rep(11)
     '01011'
     """
+    n = index(n)
     if n >= 0:
         return "0" if n == 0 else "0" + bin(n)[2:]
     k = (-n - 1).bit_length() + 1  # least k >= 1 with -2**(k-1) <= n

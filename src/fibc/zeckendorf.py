@@ -22,9 +22,9 @@ followed by 48, 32 and 16 zeros (the first two tables built on the first
 leaf).  _settle steps an estimate x ~ n·phi^-m (fixed point above F(_B),
 a float below) by one while n - S(x) is negative or at least S(x+1) - S(x),
 which is F(m) or F(m-1), so no result depends on the estimate's accuracy.
-The constants of a cut are kept once per power of two; F(m), F(m-1) and
-F(m-2) come from fibonacci.fib, which keeps its list only up to F(_B) and
-builds the pairs above it.
+The constants of a cut are kept once per power of two; its F(m-2), F(m-1)
+are the pair that fibonacci keeps at the cut, _fib_pair(m - 1).  The block
+tables hold S_p(a) for the block values a, the same identity at m = p.
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
 occurrence at once, and converts a word still not canonical after them
@@ -37,7 +37,7 @@ from functools import cache
 from math import isqrt
 from operator import index
 
-from .fibonacci import _B, _check_word, fib, fib_value
+from .fibonacci import _B, _check_word, _fib_pair, fib, fib_value
 
 _LOW = 16  # digits per table block; below F(2 * _LOW) a word is two blocks
 _CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _leaf
@@ -64,14 +64,12 @@ def _inv_phi_power(p: int) -> float:
 
 
 def _level(p: int) -> _Level:
-    """phi^-p and V(a·0^p), the value of word a followed by p zeros, for the
-    Zeckendorf words a below F(_LOW) in value order, then F(_LOW + p) for
-    the word after them.  The words of length k add F(k-1+p) to the ones
-    below F(k-2)."""
-    values = [0]
-    for k in range(1, _LOW + 1):
-        values += [fib(k - 1 + p) + s for s in values[: fib(k - 2)]]
-    values.append(fib(_LOW + p))
+    """phi^-p and V(a·0^p) = S_p(a), the value of the word of a followed by
+    p zeros, for 0 <= a <= F(_LOW): the block words in value order, then
+    the sentinel F(_LOW + p) for the word after them.  The floor is exact,
+    as a + 1 <= F(_LOW) + 1 < F(_CHUNK) + 2."""
+    f2, f1 = _fib_pair(p - 1)
+    values = [f1 * a + f2 * ((a + 1) * _INV_PHI >> 128) for a in range(fib(_LOW) + 1)]
     return _inv_phi_power(p), values
 
 
@@ -234,11 +232,11 @@ def _div_phi(a: int, inv: int, p: int) -> int:
 @cache
 def _cut_point(j: int) -> tuple[int, int, int, int, int, int, int]:
     """Constants of the cut at m = _B·2^j, built on first use: F(m), F(m-1),
-    F(m-2), inv = floor(2^p / phi) with p = 64 bits more than F(m-1) has,
-    and scale ~ 2^e / phi^m to about p bits, as phi^m = F(m-1) + F(m-2)/phi.
+    F(m-2) from the pair kept at the cut, inv = floor(2^p / phi) with p = 64
+    bits more than F(m-1) has, and scale ~ 2^e / phi^m to about p bits, as
+    phi^m = F(m-1) + F(m-2)/phi.
     """
-    m = _B << j
-    f1, f2 = fib(m - 1), fib(m - 2)
+    f2, f1 = _fib_pair((_B << j) - 1)
     p = f1.bit_length() + 64
     inv = _inv_phi(p)
     d = (f1 << p) + f2 * inv  # ~ 2^p·phi^m

@@ -7,7 +7,7 @@ from fibc.adders import (TableRow, adder_table, add_fib, add_fibc, add_words,
                          format_table_text, sub_fibc)
 from fibc.cli import main
 from fibc.complement import fibc_rep
-from fibc.fibonacci import fib, fib_value, fibc_value
+from fibc.fibonacci import fib, fib_value, fibc_value, twos_complement_rep
 from fibc.zeckendorf import fib_rep
 
 from reference_data import ADDER_ROWS
@@ -184,10 +184,13 @@ def test_integer_like_operands_at_every_size():
         assert add_fib(Index(v), Index(3)) == fib_rep(v + 3)
         assert add_fibc(Index(-v), Index(3)) == fibc_rep(3 - v)
         assert sub_fibc(Index(3), Index(v)) == fibc_rep(3 - v)
+        assert twos_complement_rep(Index(v)) == twos_complement_rep(v)
+        assert twos_complement_rep(Index(-v)) == twos_complement_rep(-v)
     assert fib(Index(5)) == fib(5) and fib(Index(2000)) == fib(2000)
-    for bad in (2.0, 1e12):
+    for bad in (2.0, -2.0, 1e12):
         for call in (fib, fib_rep, fibc_rep, lambda n: fibc_rep(-n),
-                     lambda n: add_fib(n, 1), lambda n: add_fibc(1, n)):
+                     lambda n: add_fib(n, 1), lambda n: add_fibc(1, n),
+                     twos_complement_rep):
             with pytest.raises(TypeError):
                 call(bad)
 

@@ -172,10 +172,14 @@ def test_rep_matches_greedy_at_block_seams():
     # an estimate checked against the values V(a·0^p) of the block words a
     # followed by p zeros.  The estimate is at its extremes at every such
     # value and just below it: these and one above, for every block word a
-    # and p = 16, 32, 48, about 23k values below F(64) < 2^45.
+    # and p = 16, 32, 48, about 23k values below F(64) < 2^45.  The tables
+    # themselves hold each v, then the sentinel F(16 + p).
     for p in (16, 32, 48):
+        table = zeckendorf._level(p)[1]
+        assert len(table) == fib(16) + 1 and table[-1] == own_fib(16 + p)
         for a in range(fib(16)):
             v = sum(own_fib(i + p) for i, c in enumerate(reversed(greedy_rep(a))) if c == "1")
+            assert table[a] == v, (p, a)
             for n in (v - 1, v, v + 1):
                 if n >= 0:
                     assert fib_rep(n) == greedy_rep(n), (p, a, n)
