@@ -4,10 +4,12 @@ A machine reads a word left to right, emitting an output word of at most one
 digit per transition, and contributes one extra word (depending on the state
 it stops in) to be concatenated after the regular output.  `run` returns
 that whole word; `trace` gives the path that produced it.  Machines are
-immutable once built, apart from the memo behind `run`, which only caches
-what the transitions determine; states are opaque strings, kept in
-breadth-first discovery order from the initial state so that exports are
-deterministic.  Input symbols are the digits 0 to 3.
+read-only slotted objects: no attribute can be assigned or deleted once
+built, and only the memo behind `run` grows, caching what the transitions
+determine.  States are opaque strings, kept in breadth-first discovery
+order from the initial state so that exports are deterministic.  Input
+symbols are the digits 0 to 3.  `json` is loaded on export, by `to_json`,
+so importing the module stays light.
 
 `trace` is the only loop that steps one symbol at a time.  `run` reads its
 word as an int in base 4, which packs four symbols into each byte of the
@@ -22,14 +24,13 @@ for input alphabet A: states x 120 for the adders.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 _HEAD = (0, 256, 260, 276)  # _HEAD[h]: row index of the first h-symbol head, h = 1, 2, 3
 _ROW = 340  # row entries: 256 four-symbol chunks, then 4 + 16 + 64 heads
+_FIELDS = ("states", "initial", "transitions", "final_words")  # what equality compares
 
 
 def _chunk(index: int) -> str:
@@ -67,26 +68,45 @@ class TraceStep(NamedTuple):
     next_state: str
 
 
-@dataclass(frozen=True)
 class MealyMachine:
-    states: tuple[str, ...]
-    initial: str
-    transitions: Mapping[tuple[str, str], tuple[str, str]] = field(repr=False)
-    final_words: Mapping[str, str] = field(repr=False)
-    # state -> its row: _ROW entries, each None or (next state's row,
-    # output), filled by run(), and then the state
-    _rows: dict[str, list] = field(init=False, repr=False, compare=False)
-    _symbols: bytes = field(init=False, repr=False, compare=False)
+    """Attributes cannot be assigned or deleted; machines are equal when
+    their four fields are, and unhashable."""
 
-    def __post_init__(self) -> None:
+    # _rows: state -> its row: _ROW entries, each None or (next state's
+    # row, output), filled by run(), and then the state
+    __slots__ = _FIELDS + ("_rows", "_symbols")
+
+    def __init__(self, states: Iterable[str], initial: str,
+                 transitions: Mapping[tuple[str, str], tuple[str, str]],
+                 final_words: Mapping[str, str]) -> None:
         # Read-only copies: a cached machine is shared by every caller.
-        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
-        object.__setattr__(self, "final_words", MappingProxyType(dict(self.final_words)))
+        init = object.__setattr__
+        init(self, "states", tuple(states))
+        init(self, "initial", initial)
+        init(self, "transitions", MappingProxyType(dict(transitions)))
+        init(self, "final_words", MappingProxyType(dict(final_words)))
         symbols = self.input_alphabet
         if not set(symbols) <= set("0123"):
             raise ValueError(f"input symbols must be the digits 0 to 3, got {symbols}")
-        object.__setattr__(self, "_symbols", "".join(symbols).encode())
-        object.__setattr__(self, "_rows", {})
+        init(self, "_symbols", "".join(symbols).encode())
+        init(self, "_rows", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in _FIELDS)
+
+    def __copy__(self) -> "MealyMachine":
+        return self  # read-only, as copy.copy of a tuple gives the tuple
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(states={self.states!r}, initial={self.initial!r})"
 
     @classmethod
     def build(
@@ -266,6 +286,8 @@ class MealyMachine:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # loaded on export only (see the module docstring)
+
         doc = {
             "states": list(self.states),
             "initial": self.initial,

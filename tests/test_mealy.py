@@ -1,11 +1,16 @@
+import copy
 import json
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibc import mealy
 from fibc.adders import berstel_adder, complement_adder
 from fibc.derivation import derive_adder
 from fibc.complement import _digit_sum
@@ -152,6 +157,42 @@ def test_machine_copies_its_tables():
     transitions[("a", "0")] = ("a", "")
     final_words["a"] = "1"
     assert m.run("00") == "11"
+
+
+def test_machines_are_frozen_values():
+    states = ["a"]
+    direct = MealyMachine(states=states, initial="a",
+                          transitions={("a", "0"): ("a", "1")}, final_words={"a": ""})
+    states.append("b")
+    assert direct.states == ("a",)
+    for m in (berstel_adder(), complement_adder(), direct):
+        for name in ("initial", "states", "transitions", "final_words", "_rows"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, getattr(m, name))
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        with pytest.raises(TypeError):
+            hash(m)
+        assert copy.copy(m) == m
+    tables = dict(states=["a", "b"], initial="a",
+                  transitions=[("a", "0", "0", "b"), ("b", "0", "1", "a")],
+                  final_words={"a": "", "b": "1"})
+    first, second = MealyMachine.build(**tables), MealyMachine.build(**tables)
+    assert first == second and first is not second
+    assert first != tiny_machine() and first != direct
+    assert repr(direct) == "MealyMachine(states=('a',), initial='a')"
+
+
+def test_import_loads_no_dataclasses_json_or_inspect():
+    # A fresh interpreter that ignores the environment and site-packages.
+    src = Path(mealy.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import fibc, fibc.cli\n"
+            "print(*sorted({'dataclasses', 'json', 'inspect'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.split() == []
 
 
 def test_trace():
