@@ -14,9 +14,9 @@ is left unfinished (see zeckendorf._normalize_binary).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from operator import index
-from typing import NamedTuple
 
 from .complement import _canonical, _pad, fibc_rep, is_canonical
 from .derivation import derive_adder
@@ -133,19 +133,12 @@ def sub_fibc(m: int, n: int) -> str:
     return add_fibc(m, -index(n))
 
 
-class TableRow(NamedTuple):
-    """One behavior-table row as printed, its field names being the header:
-    a ternary word, its value in each system, and what each adder turns it
-    into, shown as "output·final" ("eps" for an empty output), with that
-    word's value in the adder's own system."""
-
-    word: str
-    fib_value: int
-    fib_adder: str
-    fib_adder_value: int
-    fibc_value: int
-    signed_adder: str
-    signed_adder_value: int
+TableRow = namedtuple("TableRow", ("word", "fib_value", "fib_adder", "fib_adder_value",
+                                   "fibc_value", "signed_adder", "signed_adder_value"))
+TableRow.__doc__ = """One behavior-table row as printed, its field names being the header:
+a ternary word, its value in each system, and what each adder turns it
+into, shown as "output·final" ("eps" for an empty output), with that
+word's value in the adder's own system."""
 
 
 def adder_table() -> list[TableRow]:

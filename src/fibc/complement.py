@@ -10,8 +10,8 @@ equal-length alignment (and hence digit-wise addition) possible.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import index
-from typing import Iterator
 
 from .fibonacci import _check_word, fib
 from .zeckendorf import _normalize_binary, _top_index, fib_rep, normalize_fib

@@ -12,8 +12,8 @@ against.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator, NamedTuple
+from collections import deque, namedtuple
+from collections.abc import Iterator
 
 from .fibonacci import fib_value
 from .mealy import MealyMachine
@@ -28,21 +28,21 @@ class CarryRangeError(ValueError):
     """A carry left the closed range 0..7 during exploration."""
 
 
-class CarryState(NamedTuple):
+class CarryState(namedtuple("CarryState", "triple carry")):
     """Adder state: the pending output triple and the integer carry."""
 
-    triple: str
-    carry: int
+    __slots__ = ()
 
     @property
     def name(self) -> str:
         return f"{self.triple}.{self.carry}"
 
 
-class Translation(NamedTuple):
-    output: str    # binary word, same length as the input
-    triple: str    # pending three-digit tail
-    carry: int     # the carry of the class the word falls in
+Translation = namedtuple("Translation", (
+    "output",  # binary word, same length as the input
+    "triple",  # pending three-digit tail
+    "carry",   # the carry of the class the word falls in
+))
 
 
 def _extend(u: str, prev: Translation) -> Translation:

@@ -10,12 +10,12 @@ F(-2) = 0.
 
 from __future__ import annotations
 
-import threading
+import _thread
 from operator import index
 
 _B = 1024  # list cap and leaf size; F(_B) < 2**1024, so a leaf fits a float
 _FIBS = [1, 2]  # _FIBS[i] == F(i) for 0 <= i <= _B; grown on demand under _LOCK
-_LOCK = threading.Lock()
+_LOCK = _thread.allocate_lock()  # the lock threading.Lock() returns
 _CUT_PAIRS: dict[int, tuple[int, int]] = {}  # [m - 1] == _fib_pair(m - 1), cuts m > _B
 
 

@@ -9,7 +9,8 @@ built, and only the memo behind `run` grows, caching what the transitions
 determine.  States are opaque strings, kept in breadth-first discovery
 order from the initial state so that exports are deterministic.  Input
 symbols are the digits 0 to 3.  `json` is loaded on export, by `to_json`,
-so importing the module stays light.
+so importing the module stays light: `import fibc` loads none of
+`dataclasses`, `json`, `inspect`, `typing`, `re`, `enum` or `threading`.
 
 `trace` is the only loop that steps one symbol at a time.  `run` reads its
 word as an int in base 4, which packs four symbols into each byte of the
@@ -24,9 +25,9 @@ for input alphabet A: states x 120 for the adders.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
 
 _HEAD = (0, 256, 260, 276)  # _HEAD[h]: row index of the first h-symbol head, h = 1, 2, 3
 _ROW = 340  # row entries: 256 four-symbol chunks, then 4 + 16 + 64 heads
@@ -61,11 +62,7 @@ class MissingTransitionError(ValueError):
         self.position = position
 
 
-class TraceStep(NamedTuple):
-    state: str
-    symbol: str
-    output: str
-    next_state: str
+TraceStep = namedtuple("TraceStep", "state symbol output next_state")
 
 
 class MealyMachine:
@@ -104,6 +101,14 @@ class MealyMachine:
 
     def __copy__(self) -> "MealyMachine":
         return self  # read-only, as copy.copy of a tuple gives the tuple
+
+    def __deepcopy__(self, memo: dict) -> "MealyMachine":
+        return self
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its four fields, with an empty memo.
+        return type(self), (self.states, self.initial, dict(self.transitions),
+                            dict(self.final_words))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(states={self.states!r}, initial={self.initial!r})"

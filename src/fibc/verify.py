@@ -9,18 +9,16 @@ machine.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator, NamedTuple
 
 from . import adders, complement, derivation, fibonacci, zeckendorf
 from .mealy import MealyMachine
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    checked: int
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name ok checked detail")):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "ok  " if self.ok else "FAIL"
@@ -326,7 +324,9 @@ def derivation_check(max_len: int) -> CheckResult:
     """The explored machine has the expected shape and agrees with the
     brute-force translation, carry included, on every short word."""
     derived = derivation.derive_adder()
-    flaws = [f"carry of {s}" for s in derived.states if not 0 <= int(s.split(".")[1]) <= 7]
+    # States are named triple.carry, carry 0 to 7; a name without one is a flaw.
+    flaws = [f"carry of {s}" for s in derived.states
+             if s.partition(".")[2] not in set("01234567")]
     if derived.transition_count != 30:
         flaws.insert(0, f"{derived.transition_count} transitions")
     if len(derived.states) != 10:

@@ -218,6 +218,19 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     assert "FAIL stub sweep" in out and "210" in out
 
 
+def test_runtime_error_exits_1_with_message(capsys, monkeypatch):
+    from fibc import cli
+
+    def broken_checks(depth):
+        raise RuntimeError("expected 10 reachable classes, found 11")
+
+    monkeypatch.setattr(cli, "run_checks", broken_checks)
+    code, out, err = run_cli(capsys, "verify", "--depth", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: expected 10 reachable classes, found 11\n"
+
+
 def test_verify_small_depth(capsys):
     code, out, _ = run_cli(capsys, "verify", "--depth", "2")
     assert code == 0

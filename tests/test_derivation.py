@@ -6,9 +6,22 @@ from fibc.adders import berstel_adder
 from fibc.derivation import (CarryRangeError, CarryState, TRIPLES, derive_adder,
                              step, translate_tree, translate_word)
 from fibc.fibonacci import fib_value
-from fibc.verify import append_zero_check
+from fibc.mealy import TraceStep
+from fibc.verify import CheckResult, append_zero_check
 
 from reference_data import ADDER_FINAL_WORDS, ADDER_STATES, ADDER_TRANSITIONS
+
+
+def test_records_are_plain_named_tuples():
+    state = CarryState("000", 0)
+    assert state.name == "000.0" and state == ("000", 0)
+    assert repr(state) == "CarryState(triple='000', carry=0)"
+    moved = state._replace(carry=3)
+    assert type(moved) is CarryState and moved.name == "000.3"
+    assert CheckResult("s", True, 2, "d").line() == "ok   s: d (2 instances)"
+    assert translate_word("2")._fields == ("output", "triple", "carry")
+    for record in (state, CheckResult("s", False, 0, ""), TraceStep("a", "0", "", "a")):
+        assert not hasattr(record, "__dict__")
 
 
 def test_triples_are_value_ordered():

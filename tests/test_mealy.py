@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -87,6 +88,23 @@ def test_build_rejects_long_output():
 def test_build_rejects_missing_final_word():
     with pytest.raises(ValueError, match="final output"):
         tiny_machine(final_words={"a": ""})
+
+
+def test_build_rejects_unknown_initial_state():
+    with pytest.raises(ValueError, match="initial state 'zz'"):
+        tiny_machine(initial="zz")
+
+
+def test_build_rejects_two_digit_input_symbol():
+    with pytest.raises(ValueError, match="one digit, got '01'"):
+        tiny_machine(transitions=[("a", "01", "0", "a")])
+
+
+def test_run_and_trace_reject_unknown_start_state():
+    m = tiny_machine()
+    for call in (m.run, m.trace):
+        with pytest.raises(ValueError, match="unknown start state 'zz'"):
+            call("01", "zz")
 
 
 def test_build_prunes_unreachable_states():
@@ -181,18 +199,38 @@ def test_machines_are_frozen_values():
     assert first == second and first is not second
     assert first != tiny_machine() and first != direct
     assert repr(direct) == "MealyMachine(states=('a',), initial='a')"
+    # A foreign operand: __eq__ returns NotImplemented, so == falls back to identity.
+    assert first.__eq__(object()) is NotImplemented
+    assert (first == object()) is False and first != object()
 
 
-def test_import_loads_no_dataclasses_json_or_inspect():
+def test_machines_deep_copy_and_pickle():
+    for m in (berstel_adder(), complement_adder(), tiny_machine()):
+        assert copy.deepcopy(m) is m
+        m.run("0110")  # fill some of the memo
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back is not m
+        assert back._rows == {}
+        assert back.run("0110") == m.run("0110")
+        assert back._rows != {}
+        with pytest.raises(AttributeError):
+            back.initial = back.initial
+
+
+def test_import_loads_only_what_fibc_runs():
     # A fresh interpreter that ignores the environment and site-packages.
+    # The library needs none of these; argparse brings in re and enum.
     src = Path(mealy.__file__).resolve().parent.parent
     code = ("import sys\n"
             f"sys.path.insert(0, {str(src)!r})\n"
-            "import fibc, fibc.cli\n"
-            "print(*sorted({'dataclasses', 'json', 'inspect'} & set(sys.modules)))\n")
+            "import fibc\n"
+            "heavy = {'dataclasses', 'json', 'inspect', 'typing'}\n"
+            "print(*sorted((heavy | {'re', 'enum', 'threading'}) & set(sys.modules)))\n"
+            "import fibc.cli\n"
+            "print(*sorted(heavy & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.split() == []
+    assert out.stdout.splitlines() == ["", ""]
 
 
 def test_trace():

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from fibc.adders import berstel_adder, complement_adder
 from fibc.mealy import MealyMachine
 from fibc import verify
@@ -92,3 +94,27 @@ def test_order_check_names_a_swap_in_the_representation(monkeypatch):
         result = verify.order_check(radius, 5)
         assert not result.ok
         assert result.detail == detail
+
+
+def test_derivation_check_reports_states_without_a_carry(monkeypatch):
+    # The signed adder has 11 states, one of them "start", which is not
+    # named triple.carry: a failed check, not an IndexError.
+    from fibc import derivation
+    monkeypatch.setattr(derivation, "derive_adder", complement_adder)
+    result = verify.derivation_check(3)
+    assert not result.ok
+    assert result.detail == "counterexample 11 states"
+    assert result.checked == 1
+
+
+def test_run_checks_rejects_negative_depth():
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify.run_checks(-1)
+
+
+def test_order_check_fails_at_once_on_a_wrong_zero(monkeypatch):
+    from fibc import complement
+    rep = complement.fibc_rep
+    monkeypatch.setattr(complement, "fibc_rep", lambda n: rep(n) if n else "000")
+    result = verify.order_check(10, 5)
+    assert result == ("value-ordered representations", False, 0, "counterexample rep(0)")
