@@ -80,12 +80,11 @@ def _addition(u: str, v: str, signed: bool) -> tuple[str, str, str, str]:
     return u, v, raw, result
 
 
-def _run_parts(machine: MealyMachine, word: str) -> tuple[str, str, str]:
-    """A run's output, last state and that state's final word, read off
-    `trace` for display."""
-    steps = machine.trace(word)
-    last = steps[-1].next_state if steps else machine.initial
-    return "".join(s.output for s in steps), last, machine.final_words[last]
+def _output_final(raw: str) -> str:
+    """An adder's `run` word shown as "output·final" ("eps" for an empty
+    output).  Every final word of both adders is a state's pending
+    three-digit triple, so the last three digits are the final word."""
+    return f"{raw[:-3] or 'eps'}·{raw[-3:]}"
 
 
 def add_words(u: str, v: str) -> str:
@@ -153,8 +152,8 @@ def adder_table() -> list[TableRow]:
         for word in words:
             cells = []
             for machine, value in systems:
-                output, _, final = _run_parts(machine, word)
-                cells += [value(word), f"{output or 'eps'}·{final}", value(output + final)]
+                raw = machine.run(word)
+                cells += [value(word), _output_final(raw), value(raw)]
             rows.append(TableRow(word, *cells))
     return rows
 

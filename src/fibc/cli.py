@@ -1,5 +1,6 @@
 """Command-line front end: conversion, transducer addition, the behavior
-table, machine export, traces and the verification battery.
+table, machine export, traces and the verification battery.  `add` and
+`sub` print the stages that the library's own addition pipeline returns.
 
 Words print most significant digit first; the empty word prints as "eps".
 Exit codes: 0 on success, 1 when a verification or derivation check fails,
@@ -13,12 +14,12 @@ import argparse
 import sys
 
 from . import __version__
-from .adders import (_addition, _run_parts, adder_table, berstel_adder,
+from .adders import (_addition, _output_final, adder_table, berstel_adder,
                      complement_adder, format_table_csv, format_table_text)
 from .complement import _digit_sum, enumerate_canonical, fibc_rep
 from .fibonacci import (fib_value, fibc_value, twos_complement_rep,
                         twos_complement_value)
-from .mealy import MealyMachine
+from .mealy import MealyMachine, TraceStep
 from .verify import run_checks
 from .zeckendorf import fib_rep
 
@@ -102,21 +103,20 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_trace(machine: MealyMachine, word: str, indent: str = "  ") -> None:
-    for s in machine.trace(word):
+def _print_trace(machine: MealyMachine, word: str, indent: str) -> list[TraceStep]:
+    steps = machine.trace(word)
+    for s in steps:
         print(f"{indent}{s.state} -{s.symbol}/{_show(s.output)}-> {s.next_state}")
+    return steps
 
 
 def _cmd_add(args: argparse.Namespace) -> int:
     m, shown_n = int(args.a), int(args.b)
     n = -shown_n if args.negate_b else shown_n
     signed = args.system == "fibc"
-    if not signed and (m < 0 or n < 0):
-        raise ValueError("the fib system represents nonnegative integers only")
     rep, value_of = _SYSTEMS[args.system]
-    u, v, _, result = _addition(rep(m), rep(n), signed)
-    total = _digit_sum(u, v)
-    machine = _MACHINES["T" if signed else "B"]()
+    u, v, raw, result = _addition(rep(m), rep(n), signed)
+    total = _digit_sum(u, v)  # shown only: the adder reads it from u and v
     value = value_of(result)
 
     op = "-" if args.negate_b else "+"
@@ -125,9 +125,8 @@ def _cmd_add(args: argparse.Namespace) -> int:
     print(f"{op} {shown_n:>{width}}  {_show(v)}")
     print(f"  {'sum':>{width}}  {_show(total)}")
     if args.trace:
-        _print_trace(machine, total, indent=" " * (width + 4))
-    output, _, final = _run_parts(machine, total)
-    print(f"  {'raw':>{width}}  {_show(output)}·{final}")
+        _print_trace(_MACHINES["T" if signed else "B"](), total, " " * (width + 4))
+    print(f"  {'raw':>{width}}  {_output_final(raw)}")
     print(f"= {value:>{width}}  {_show(result)}")
     return 0
 
@@ -147,10 +146,10 @@ def _cmd_export_machine(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     machine = _MACHINES[args.machine]()
-    word = _read_word(args.word)
-    _print_trace(machine, word, indent="")
-    output, last, final = _run_parts(machine, word)
-    print(f"output {_show(output)}·{final} (last state {last})")
+    steps = _print_trace(machine, _read_word(args.word), "")
+    last = steps[-1].next_state if steps else machine.initial
+    output = _show("".join(s.output for s in steps))
+    print(f"output {output}·{machine.final_words[last]} (last state {last})")
     return 0
 
 

@@ -51,8 +51,8 @@ def _zeckendorf_words(max_len: int) -> Iterator[str]:
 
 
 def _odd(max_len: int) -> int:
-    """The largest odd length <= max_len: canonical words have odd length."""
-    return max_len if max_len % 2 else max_len - 1
+    """The largest odd length <= max_len, or 0 if none: canonical words have odd length."""
+    return max(max_len if max_len % 2 else max_len - 1, 0)
 
 
 def _canonical_words(odd: int) -> list[str]:

@@ -36,6 +36,13 @@ def test_extended_adder_shape():
     assert m.transitions[("start", "2")] == ("100.6", "")
 
 
+def test_every_final_word_is_a_triple():
+    # `fibc add` and the table split a run's word into output·final at
+    # three digits from the end.
+    for machine in (berstel_adder(), complement_adder()):
+        assert all(len(w) == 3 for w in machine.final_words.values())
+
+
 def test_worked_path_sum_of_92():
     steps = berstel_adder().trace("2220121")
     visited = [steps[0].state] + [s.next_state for s in steps]

@@ -1,11 +1,15 @@
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from fibc.adders import berstel_adder, complement_adder
 from fibc.cli import main
-from fibc.fibonacci import fib, fibc_value
+from fibc.complement import _digit_sum
+from fibc.fibonacci import fib, fib_value, fibc_value
+from fibc.mealy import MealyMachine
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +111,48 @@ def test_add_plain_with_trace(capsys):
     assert "100000100" in out
     assert "000.0 -2/0-> 010.4" in out
     assert "100.6 -0/1-> 001.1" in out
+
+
+LONG_A, LONG_B, LONG_C = 10**3000 + 12345, -10**3000 + 678, 10**3000 - 99
+
+
+@pytest.mark.parametrize("system, a, b", [
+    ("fib", LONG_A, LONG_C), ("fibc", LONG_A, LONG_B),
+    ("fibc", LONG_B, LONG_B), ("fibc", LONG_B, LONG_C),
+])
+def test_add_raw_line_on_long_words(capsys, system, a, b):
+    code, out, _ = run_cli(capsys, "add", "--system", system, "--", str(a), str(b))
+    assert code == 0
+    lines = [line.split() for line in out.splitlines()]
+    u, v, (_, total), (_, raw) = lines[0][-1], lines[1][-1], lines[2], lines[3]
+    assert len(u) > 14_000 and total == _digit_sum(u, v)
+    # The oracle: output·final read off a step-by-step run of the sum.
+    machine = complement_adder() if system == "fibc" else berstel_adder()
+    steps = machine.trace(total)
+    output = "".join(s.output for s in steps)
+    assert raw == f"{output}·{machine.final_words[steps[-1].next_state]}"
+    value = fibc_value if system == "fibc" else fib_value
+    assert value(raw.replace("·", "")) == a + b
+
+
+@pytest.mark.parametrize("extra", [(), ("--trace",)])
+def test_add_runs_the_adder_once(capsys, monkeypatch, extra):
+    lengths = []
+    trace = MealyMachine.trace
+
+    def recording_trace(self, word, start=None):
+        lengths.append(len(word))
+        return trace(self, word, start)
+
+    monkeypatch.setattr(MealyMachine, "trace", recording_trace)
+    code, out, _ = run_cli(capsys, "add", "--system", "fibc", *extra,
+                           "--", str(LONG_A), str(LONG_B))
+    assert code == 0
+    long_words = [n for n in lengths if n > 4]  # shorter ones fill run's memo
+    if extra:
+        assert long_words == [len(out.splitlines()[2].split()[-1])]
+    else:
+        assert long_words == []
 
 
 def test_add_zero(capsys):
@@ -240,6 +286,8 @@ def test_verify_small_depth(capsys):
 def test_verify_depth_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--depth", "0")
     assert code == 0
+    lengths = [int(n) for n in re.findall(r"length (-?\d+)", out)]
+    assert len(lengths) == 17 and min(lengths) == 0
 
 
 def test_verify_depth_3_output_is_pinned(capsys):
