@@ -48,7 +48,7 @@ def complement_adder() -> MealyMachine:
     transitions += [(START, a, "", base.trace(a + "0" + a)[-1].next_state) for a in "012"]
     final_words = dict(base.final_words)
     final_words[START] = base.final_words[base.initial]
-    return MealyMachine.build(
+    return MealyMachine(
         states=(START, *base.states),
         initial=START,
         transitions=transitions,

@@ -135,7 +135,6 @@ def derive_adder() -> MealyMachine:
     staying within 0..7.
     """
     start = CarryState("000", 0)
-    order = [start]
     seen = {start}
     transitions = []
     queue = deque([start])
@@ -146,13 +145,13 @@ def derive_adder() -> MealyMachine:
             transitions.append((state.name, symbol, emitted, nxt.name))
             if nxt not in seen:
                 seen.add(nxt)
-                order.append(nxt)
                 queue.append(nxt)
-    if len(order) != 10:
-        raise RuntimeError(f"expected 10 reachable classes, found {len(order)}")
-    return MealyMachine.build(
-        states=[s.name for s in order],
+    if len(seen) != 10:
+        raise RuntimeError(f"expected 10 reachable classes, found {len(seen)}")
+    # The machine orders the states breadth-first from the initial one.
+    return MealyMachine(
+        states=[s.name for s in seen],
         initial=start.name,
         transitions=transitions,
-        final_words={s.name: s.triple for s in order},
+        final_words={s.name: s.triple for s in seen},
     )

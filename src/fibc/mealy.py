@@ -6,10 +6,12 @@ it stops in) to be concatenated after the regular output.  `run` returns
 that whole word; `trace` gives the path that produced it.  Machines are
 read-only slotted objects: no attribute can be assigned or deleted once
 built, and only the memo behind `run` grows, caching what the transitions
-determine.  States are opaque strings, kept in breadth-first discovery
-order from the initial state so that exports are deterministic.  Input
-symbols are the digits 0 to 3.  `json` is loaded on export, by `to_json`,
-so importing the module stays light: `import fibc` loads none of
+determine.  The constructor, which unpickling goes through too, is the one
+way in: it rejects any table that `run` could not use and keeps only what
+the initial state reaches, its states in breadth-first order from there so
+that exports are deterministic.  States are opaque strings; input symbols
+are the digits 0 to 3.  `json` is loaded on export, by `to_json`, so
+importing the module stays light: `import fibc` loads none of
 `dataclasses`, `json`, `inspect`, `typing`, `re`, `enum` or `threading`.
 
 `trace` is the only loop that steps one symbol at a time.  `run` reads its
@@ -25,7 +27,7 @@ for input alphabet A: states x 120 for the adders.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
@@ -61,6 +63,10 @@ class MissingTransitionError(ValueError):
         self.symbol = symbol
         self.position = position
 
+    def __reduce__(self) -> tuple:
+        # BaseException would rebuild the error from its one-message args.
+        return type(self), (self.state, self.symbol, self.position)
+
 
 TraceStep = namedtuple("TraceStep", "state symbol output next_state")
 
@@ -74,18 +80,48 @@ class MealyMachine:
     __slots__ = _FIELDS + ("_rows", "_symbols")
 
     def __init__(self, states: Iterable[str], initial: str,
-                 transitions: Mapping[tuple[str, str], tuple[str, str]],
+                 transitions: Iterable[tuple[str, str, str, str]],
                  final_words: Mapping[str, str]) -> None:
+        """Validate a machine given by (src, input, output, dst) tuples, as
+        `sorted_transitions` lists them, and keep read-only copies of the
+        part reachable from the initial state, in breadth-first order.
+        """
+        known = set(states)
+        if initial not in known:
+            raise ValueError(f"initial state {initial!r} not among the states")
+        delta = {}
+        for src, symbol, output, dst in transitions:
+            if src not in known or dst not in known:
+                missing = src if src not in known else dst
+                raise ValueError(f"transition uses unknown state {missing!r}")
+            if len(symbol) != 1 or symbol not in "0123":
+                raise ValueError(f"input symbols must be the digits 0 to 3, got {symbol!r}")
+            if len(output) > 1:
+                raise ValueError(f"transition output longer than one digit: {output!r}")
+            if (src, symbol) in delta:
+                raise ValueError(
+                    f"nondeterministic: duplicate transition from {src!r} on {symbol!r}"
+                )
+            delta[src, symbol] = (dst, output)
+        symbols = sorted({a for (_, a) in delta})
+        order, seen = [initial], {initial}
+        for s in order:  # the list grows as states are found: a BFS queue
+            for a in symbols:
+                hit = delta.get((s, a))
+                if hit is not None and hit[0] not in seen:
+                    seen.add(hit[0])
+                    order.append(hit[0])
+        for s in order:
+            if s not in final_words:
+                raise ValueError(f"no final output declared for state {s!r}")
         # Read-only copies: a cached machine is shared by every caller.
         init = object.__setattr__
-        init(self, "states", tuple(states))
+        init(self, "states", tuple(order))
         init(self, "initial", initial)
-        init(self, "transitions", MappingProxyType(dict(transitions)))
-        init(self, "final_words", MappingProxyType(dict(final_words)))
-        symbols = self.input_alphabet
-        if not set(symbols) <= set("0123"):
-            raise ValueError(f"input symbols must be the digits 0 to 3, got {symbols}")
-        init(self, "_symbols", "".join(symbols).encode())
+        init(self, "transitions", MappingProxyType(
+            {key: hit for key, hit in delta.items() if key[0] in seen}))
+        init(self, "final_words", MappingProxyType({s: final_words[s] for s in order}))
+        init(self, "_symbols", "".join(self.input_alphabet).encode())
         init(self, "_rows", {})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -107,64 +143,11 @@ class MealyMachine:
 
     def __reduce__(self) -> tuple:
         # Rebuilt from its four fields, with an empty memo.
-        return type(self), (self.states, self.initial, dict(self.transitions),
+        return type(self), (self.states, self.initial, self.sorted_transitions(),
                             dict(self.final_words))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(states={self.states!r}, initial={self.initial!r})"
-
-    @classmethod
-    def build(
-        cls,
-        states: Iterable[str],
-        initial: str,
-        transitions: Iterable[tuple[str, str, str, str]],
-        final_words: dict[str, str],
-    ) -> "MealyMachine":
-        """Validate and assemble a machine from (src, input, output, dst)
-        transition tuples; unreachable states are pruned.
-        """
-        known = set(states)
-        if initial not in known:
-            raise ValueError(f"initial state {initial!r} not among the states")
-
-        delta: dict[tuple[str, str], tuple[str, str]] = {}
-        for src, symbol, output, dst in transitions:
-            if src not in known or dst not in known:
-                missing = src if src not in known else dst
-                raise ValueError(f"transition uses unknown state {missing!r}")
-            if len(symbol) != 1:
-                raise ValueError(f"input symbol must be one digit, got {symbol!r}")
-            if len(output) > 1:
-                raise ValueError(f"transition output longer than one digit: {output!r}")
-            if (src, symbol) in delta:
-                raise ValueError(
-                    f"nondeterministic: duplicate transition from {src!r} on {symbol!r}"
-                )
-            delta[(src, symbol)] = (dst, output)
-        symbols = sorted({a for (_, a) in delta})
-
-        # Prune to the part reachable from the initial state, in BFS order.
-        order = [initial]
-        seen = {initial}
-        queue = deque(order)
-        while queue:
-            s = queue.popleft()
-            for a in symbols:
-                hit = delta.get((s, a))
-                if hit is not None and hit[0] not in seen:
-                    seen.add(hit[0])
-                    order.append(hit[0])
-                    queue.append(hit[0])
-        delta = {key: val for key, val in delta.items() if key[0] in seen}
-
-        phi = {}
-        for s in order:
-            if s not in final_words:
-                raise ValueError(f"no final output declared for state {s!r}")
-            phi[s] = final_words[s]
-        return cls(states=tuple(order), initial=initial, transitions=delta,
-                   final_words=phi)
 
     @property
     def input_alphabet(self) -> tuple[str, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -209,6 +210,20 @@ def test_export_machine_dot(capsys):
     assert code == 0
     assert '__start -> "000.0";' in out
     assert '"000.0" -> "010.4" [label="2/0"];' in out
+
+
+@pytest.mark.parametrize("machine, fmt, digest", [
+    ("B", "dot", "da045ef0e8a67090a7b7879ef1a11eca80481dcba84deb583058347e1424cfb7"),
+    ("B", "json", "a5abd3837998d0502665c076941c6ecf8e3b38e79e9e7ce353de796e7307b033"),
+    ("T", "dot", "19aa03652fed35a1d0fbef5a63b3434cbb165ae8a1ee77e7c6455ce1782942d9"),
+    ("T", "json", "1a826561f1db9d3fba7f22add217cf0a1167bd2f1f046c21067f100e7fc62e9a"),
+])
+def test_export_machine_text_is_pinned(capsys, machine, fmt, digest):
+    # The whole text, state order included, byte for byte.
+    code, out, _ = run_cli(capsys, "export-machine", "--machine", machine,
+                           "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_export_derived_machine(capsys):

@@ -33,7 +33,7 @@ def tiny_machine(**overrides):
         final_words={"a": "", "b": "1"},
     )
     kwargs.update(overrides)
-    return MealyMachine.build(**kwargs)
+    return MealyMachine(**kwargs)
 
 
 def test_build_accepts_valid_machine():
@@ -44,8 +44,8 @@ def test_build_accepts_valid_machine():
 
 
 def test_adders_states_and_alphabets():
-    # build orders states breadth-first from the initial state and reads
-    # both alphabets off the transitions; `export-machine --machine T`
+    # The constructor orders states breadth-first from the initial state and
+    # reads both alphabets off the transitions; `export-machine --machine T`
     # prints the states in this order.
     assert complement_adder().states == (
         "start", "000.0", "101.7", "100.6", "001.2", "010.4", "010.3",
@@ -57,7 +57,7 @@ def test_adders_states_and_alphabets():
 
 def test_build_reads_alphabets_after_pruning():
     # The unreachable state "o" holds the only 2-transition.
-    m = MealyMachine.build(
+    m = MealyMachine(
         states=["a", "o"], initial="a",
         transitions=[("a", "0", "0", "a"), ("o", "2", "1", "a")],
         final_words={"a": "", "o": ""},
@@ -96,8 +96,34 @@ def test_build_rejects_unknown_initial_state():
 
 
 def test_build_rejects_two_digit_input_symbol():
-    with pytest.raises(ValueError, match="one digit, got '01'"):
+    with pytest.raises(ValueError, match="digits 0 to 3, got '01'"):
         tiny_machine(transitions=[("a", "01", "0", "a")])
+
+
+@pytest.mark.parametrize("tables, message", [
+    (dict(transitions=[("a", "0", "", "b")]), "unknown state 'b'"),
+    (dict(transitions=[("a", "0", "", "a"), ("z", "0", "", "a")]), "unknown state 'z'"),
+    (dict(initial="z"), "initial state 'z' not among the states"),
+    (dict(transitions=[("a", "0", "01", "a")]), "longer than one digit: '01'"),
+    (dict(states=("a", "b"), transitions=[("a", "0", "", "b")]),
+     "no final output declared for state 'b'"),
+], ids=["dangling-next-state", "unknown-source", "unknown-initial", "two-digit-output",
+        "no-final-word"])
+def test_constructor_rejects_tables_run_cannot_use(tables, message):
+    # Tables that `run` could not use: it would raise KeyError or a start
+    # state error, or emit two digits for one symbol.
+    kwargs = dict(states=("a",), initial="a", transitions=[("a", "0", "", "a")],
+                  final_words={"a": ""})
+    with pytest.raises(ValueError, match=message):
+        MealyMachine(**{**kwargs, **tables})
+
+
+def test_missing_transition_error_pickles_and_copies():
+    err = MissingTransitionError("000.0", "3", 5)
+    for back in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert type(back) is MissingTransitionError
+        assert (back.state, back.symbol, back.position) == ("000.0", "3", 5)
+        assert str(back) == str(err)
 
 
 def test_run_and_trace_reject_unknown_start_state():
@@ -168,11 +194,11 @@ def test_machines_are_read_only():
 
 
 def test_machine_copies_its_tables():
-    transitions = {("a", "0"): ("a", "1")}
+    transitions = [("a", "0", "1", "a")]
     final_words = {"a": ""}
     m = MealyMachine(states=("a",), initial="a", transitions=transitions,
                      final_words=final_words)
-    transitions[("a", "0")] = ("a", "")
+    transitions[0] = ("a", "0", "", "a")
     final_words["a"] = "1"
     assert m.run("00") == "11"
 
@@ -180,7 +206,7 @@ def test_machine_copies_its_tables():
 def test_machines_are_frozen_values():
     states = ["a"]
     direct = MealyMachine(states=states, initial="a",
-                          transitions={("a", "0"): ("a", "1")}, final_words={"a": ""})
+                          transitions=[("a", "0", "1", "a")], final_words={"a": ""})
     states.append("b")
     assert direct.states == ("a",)
     for m in (berstel_adder(), complement_adder(), direct):
@@ -195,7 +221,7 @@ def test_machines_are_frozen_values():
     tables = dict(states=["a", "b"], initial="a",
                   transitions=[("a", "0", "0", "b"), ("b", "0", "1", "a")],
                   final_words={"a": "", "b": "1"})
-    first, second = MealyMachine.build(**tables), MealyMachine.build(**tables)
+    first, second = MealyMachine(**tables), MealyMachine(**tables)
     assert first == second and first is not second
     assert first != tiny_machine() and first != direct
     assert repr(direct) == "MealyMachine(states=('a',), initial='a')"
@@ -308,7 +334,7 @@ def test_block_run_matches_trace_on_long_words(machine, word, data):
 def holey_adder():
     """The plain adder without its transition from the initial state on 2."""
     adder = berstel_adder()
-    return MealyMachine.build(
+    return MealyMachine(
         states=adder.states, initial=adder.initial,
         transitions=[t for t in adder.sorted_transitions()
                      if t[:2] != (adder.initial, "2")],
@@ -447,7 +473,7 @@ def test_addend_must_be_binary_and_as_long(word, addend):
 def test_symbols_outside_0_to_3_are_rejected(symbol):
     with pytest.raises(ValueError, match="digits 0 to 3"):
         MealyMachine(states=("a",), initial="a",
-                     transitions={("a", "0"): ("a", ""), ("a", symbol): ("a", "1")},
+                     transitions=[("a", "0", "", "a"), ("a", symbol, "1", "a")],
                      final_words={"a": ""})
     if len(symbol) == 1:
         with pytest.raises(ValueError, match="digits 0 to 3"):
@@ -527,7 +553,7 @@ def test_not_isomorphic_after_output_flip():
     m = berstel_adder()
     flipped = [(src, a, "1" if out == "0" else "0", dst)
                for src, a, out, dst in m.sorted_transitions()]
-    other = MealyMachine.build(
+    other = MealyMachine(
         states=m.states, initial=m.initial, transitions=flipped,
         final_words=dict(m.final_words),
     )

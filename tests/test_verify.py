@@ -14,7 +14,7 @@ def rerouted(m, src, a, dst):
     """m with the transition from src on a sent to dst instead."""
     transitions = [(s, b, out, dst if (s, b) == (src, a) else d)
                    for s, b, out, d in m.sorted_transitions()]
-    return MealyMachine.build(
+    return MealyMachine(
         states=m.states, initial=m.initial, transitions=transitions,
         final_words=dict(m.final_words),
     )
