@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import cache
 from operator import index
 
-from .complement import _canonical, _pad, fibc_rep, is_canonical
+from .complement import _canonical, _pad, _words, fibc_rep, is_canonical
 from .derivation import derive_adder
 from .fibonacci import fib_value, fibc_value
 from .mealy import MealyMachine
@@ -146,15 +146,12 @@ def adder_table() -> list[TableRow]:
     `fibc_value`."""
     systems = ((berstel_adder(), fib_value), (complement_adder(), fibc_value))
     rows = []
-    words = [""]
-    for _ in range(3):
-        words = [w + d for w in words for d in "012"]
-        for word in words:
-            cells = []
-            for machine, value in systems:
-                raw = machine.run(word)
-                cells += [value(word), _output_final(raw), value(raw)]
-            rows.append(TableRow(word, *cells))
+    for word in _words("012", 3, 1):
+        cells = []
+        for machine, value in systems:
+            raw = machine.run(word)
+            cells += [value(word), _output_final(raw), value(raw)]
+        rows.append(TableRow(word, *cells))
     return rows
 
 

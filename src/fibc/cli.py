@@ -4,13 +4,15 @@ table, machine export, traces and the verification battery.  `add` and
 
 Words print most significant digit first; the empty word prints as "eps".
 Exit codes: 0 on success, 1 when a verification or derivation check fails,
-2 on usage errors.  Use "--" before negative numbers, e.g.
+2 on usage errors, 141 (as for SIGPIPE) when the reader closes stdout
+early.  Use "--" before negative numbers, e.g.
 `fibc add --system fibc -- -1 -9`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -148,8 +150,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     machine = _MACHINES[args.machine]()
     steps = _print_trace(machine, _read_word(args.word), "")
     last = steps[-1].next_state if steps else machine.initial
-    output = _show("".join(s.output for s in steps))
-    print(f"output {output}·{machine.final_words[last]} (last state {last})")
+    raw = "".join(s.output for s in steps) + machine.final_words[last]
+    print(f"output {_output_final(raw)} (last state {last})")
     return 0
 
 
@@ -192,7 +194,13 @@ def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe fails here and not at exit
+        return status
+    except BrokenPipeError:
+        # Point fd 1 at devnull so that the exit-time flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         parser.error(str(exc))
     except RuntimeError as exc:

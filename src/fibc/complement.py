@@ -11,6 +11,7 @@ equal-length alignment (and hence digit-wise addition) possible.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import product
 from operator import index
 
 from .fibonacci import _check_word, fib
@@ -176,6 +177,12 @@ def enumerate_canonical(max_len: int) -> list[str]:
              if len(w) % 2 == 1 and not w.startswith(("000", "101"))]
     words.sort(key=signed_key)
     return words
+
+
+def _words(alphabet: str, max_len: int, min_len: int) -> Iterator[str]:
+    """Words over the alphabet with length min_len..max_len, in radix order."""
+    for length in range(min_len, max_len + 1):
+        yield from map("".join, product(alphabet, repeat=length))
 
 
 def _no_11_words(max_len: int) -> Iterator[str]:

@@ -12,7 +12,7 @@ against.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 
 from .fibonacci import fib_value
@@ -135,23 +135,18 @@ def derive_adder() -> MealyMachine:
     staying within 0..7.
     """
     start = CarryState("000", 0)
-    seen = {start}
-    transitions = []
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    classes, transitions = [start], []
+    for state in classes:  # the list grows as classes are found: a BFS queue
         for symbol in "012":
             nxt, emitted = step(state, symbol)
             transitions.append((state.name, symbol, emitted, nxt.name))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != 10:
-        raise RuntimeError(f"expected 10 reachable classes, found {len(seen)}")
-    # The machine orders the states breadth-first from the initial one.
+            if nxt not in classes:
+                classes.append(nxt)
+    if len(classes) != 10:
+        raise RuntimeError(f"expected 10 reachable classes, found {len(classes)}")
     return MealyMachine(
-        states=[s.name for s in seen],
+        states=[s.name for s in classes],
         initial=start.name,
         transitions=transitions,
-        final_words={s.name: s.triple for s in seen},
+        final_words={s.name: s.triple for s in classes},
     )

@@ -14,15 +14,14 @@ are the digits 0 to 3.  `json` is loaded on export, by `to_json`, so
 importing the module stays light: `import fibc` loads none of
 `dataclasses`, `json`, `inspect`, `typing`, `re`, `enum` or `threading`.
 
-`trace` is the only loop that steps one symbol at a time.  `run` reads its
-word as an int in base 4, which packs four symbols into each byte of the
-int's big-endian bytes; the first len % 4 symbols, if any, get a byte of
-their own.  Each state has a row of `_ROW` entries, one per byte value
-(0-255) and then one per head byte of 1, 2 or 3 symbols (from `_HEAD`),
-each entry being (next state's row, output) and filled from `trace` on the
-first miss.  So one step of `run` is one list index and one unpack, and the
-memo never holds more than states x (|A| + |A|^2 + |A|^3 + |A|^4) entries
-for input alphabet A: states x 120 for the adders.
+`trace` is the only loop that steps one symbol at a time.  `run` reads
+"1" + word as an int in base 4: four symbols to each big-endian byte after
+one head byte, the sentinel 1 then the first len % 4 symbols (1 to 127).
+Each state has a row of `_ROW` entries, (next state's row, output) filled
+from `trace` on the first miss: chunk byte b at b, head byte h at 256 + h.
+So one step of `run` is one list index and one unpack, and the memo never
+holds more than states x (1 + |A| + |A|^2 + |A|^3 + |A|^4) entries for
+input alphabet A: states x 121 for the adders.
 """
 
 from __future__ import annotations
@@ -31,19 +30,14 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
-_HEAD = (0, 256, 260, 276)  # _HEAD[h]: row index of the first h-symbol head, h = 1, 2, 3
-_ROW = 340  # row entries: 256 four-symbol chunks, then 4 + 16 + 64 heads
+_ROW = 384  # row entries: 256 four-symbol chunks, then the heads 1 to 127
 _FIELDS = ("states", "initial", "transitions", "final_words")  # what equality compares
 
 
 def _chunk(index: int) -> str:
-    """The input symbols behind a row index (see the module docstring)."""
-    if index < 256:
-        count, b = 4, index
-    else:
-        count = 1 if index < 260 else 2 if index < 276 else 3
-        b = index - _HEAD[count]
-    return "".join("0123"[b >> 2 * k & 3] for k in reversed(range(count)))
+    """The input symbols behind a row index: a head's follow its sentinel 1."""
+    digits = "".join("0123"[index >> 2 * k & 3] for k in (3, 2, 1, 0))
+    return digits if index < 256 else digits.partition("1")[2]
 
 
 def _foreign(word: str, symbols: bytes) -> bool:
@@ -171,14 +165,14 @@ class MealyMachine:
         words, `word` and `addend`, without building it; anything else
         there is a ValueError.
 
-        The word is read as `int(word, 4)`, four symbols to a byte, each
-        byte looked up in its state's row (see the module docstring).  An
-        entry seen for the first time is filled from `trace` on its chunk.
-        A word with a symbol outside the input alphabet, or with a chunk
-        that hits a missing transition, goes to `trace` as a whole, which
-        reports the missing transition at its position; a failed fill
-        stores nothing.  Running the empty word gives the start state's
-        final word.
+        The word is read as `int("1" + word, 4)`, one head byte and then
+        four symbols to a byte, each byte looked up in its state's row (see
+        the module docstring).  An entry seen for the first time is filled
+        from `trace` on its chunk.  A word with a symbol outside the input
+        alphabet, or with a chunk that hits a missing transition, goes to
+        `trace` as a whole, which reports the missing transition at its
+        position; a failed fill stores nothing.  Running the empty word, the
+        head alone, gives the start state's final word.
         """
         state = self.initial if start is None else start
         if state not in self.final_words:
@@ -187,24 +181,23 @@ class MealyMachine:
         if addend is None:
             if _foreign(word, self._symbols):
                 self.trace(word, state)  # raises at the first foreign symbol
-            number = int(word or "0", 4)
+            number = int("1" + word, 4)
         else:
             # Base 4 gives each binary digit a 2-bit field: no carries.
             if len(addend) != n or _foreign(word + addend, b"01"):
                 raise ValueError("run with addend needs two binary words of equal "
                                  f"length, got lengths {n} and {len(addend)}")
-            number = int(word or "0", 4) + int(addend or "0", 4)
-        data = number.to_bytes((n + 3) // 4, "big")
+            number = int("1" + word, 4) + int("0" + addend, 4)
+        data = number.to_bytes(n // 4 + 1, "big")
         row = self._rows.get(state) or self._row(state)
         fill = self._fill
         pieces: list[str] = []
         append = pieces.append
         chunks = iter(data)
         try:
-            if n % 4:
-                index = _HEAD[n % 4] + next(chunks)
-                row, output = row[index] or fill(row, index)
-                append(output)
+            index = 256 + next(chunks)
+            row, output = row[index] or fill(row, index)
+            append(output)
             for b in chunks:
                 row, output = row[b] or fill(row, b)
                 append(output)
@@ -227,9 +220,9 @@ class MealyMachine:
 
     def _fill(self, row: list, index: int) -> tuple[list, str]:
         """Fill a row entry from `trace` on its chunk, which stores nothing
-        if the chunk hits a missing transition."""
+        if the chunk hits a missing transition; the bare sentinel stays put."""
         steps = self.trace(_chunk(index), row[_ROW])
-        hit = row[index] = (self._row(steps[-1].next_state),
+        hit = row[index] = (self._row(steps[-1].next_state) if steps else row,
                             "".join(s.output for s in steps))
         return hit
 

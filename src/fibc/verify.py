@@ -14,6 +14,7 @@ from collections.abc import Iterator
 from itertools import product
 
 from . import adders, complement, derivation, fibonacci, zeckendorf
+from .complement import _words
 from .mealy import MealyMachine
 
 
@@ -37,12 +38,6 @@ def _sweep(name: str, what: str, *parts: tuple) -> CheckResult:
             if not holds(case):
                 return CheckResult(name, False, checked, f"counterexample {label(case)}")
     return CheckResult(name, True, checked, what)
-
-
-def _words(alphabet: str, max_len: int, min_len: int) -> Iterator[str]:
-    """Words over the alphabet with length min_len..max_len, shortest first."""
-    for length in range(min_len, max_len + 1):
-        yield from map("".join, product(alphabet, repeat=length))
 
 
 def _zeckendorf_words(max_len: int) -> Iterator[str]:

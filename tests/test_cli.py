@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -264,6 +266,27 @@ def test_enumerate_prints_each_words_value(capsys):
     lines = [line.split("\t") for line in out.strip().splitlines()]
     assert len(lines) == fib(9)
     assert all(int(v) == fibc_value(w) for w, v in lines)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 196,418 lines, far past a pipe buffer: the child is still writing when
+    # the reader closes the pipe after one line.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-m", "fibc.cli", "enumerate", "25"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": path})
+    try:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert first == b"1000000000000000000000000\t-75025\n"
+    assert err == b""
+    assert code == 141
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):

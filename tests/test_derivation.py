@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from fibc import derivation
 from fibc.adders import berstel_adder
 from fibc.derivation import (CarryRangeError, CarryState, TRIPLES, derive_adder,
                              step, translate_tree, translate_word)
@@ -103,6 +104,28 @@ def test_derive_shape():
     assert len(m.states) == 10
     assert m.transition_count == 30
     assert all(0 <= int(s.split(".")[1]) <= 7 for s in m.states)
+
+
+def test_derive_rejects_an_extra_reachable_class(monkeypatch):
+    # The start's 0-loop goes to a fresh class that loops on 0 and moves as
+    # the start on 1 and 2, so all ten classes stay reachable beside it.
+    start, extra = CarryState("000", 0), CarryState("101", 0)
+
+    def step_with_extra(state, symbol):
+        if symbol == "0" and state in (start, extra):
+            return extra, "0"
+        return step(start if state == extra else state, symbol)
+
+    monkeypatch.setattr(derivation, "step", step_with_extra)
+    with pytest.raises(RuntimeError, match="expected 10 reachable classes, found 11"):
+        derive_adder()
+
+
+def test_translate_rejects_an_ambiguous_extension(monkeypatch):
+    # With every word valued 0, all ten (digit, triple) candidates match.
+    monkeypatch.setattr(derivation, "fib_value", lambda word: 0)
+    with pytest.raises(RuntimeError, match="expected exactly one extension for '1', found 10"):
+        translate_word("1")
 
 
 def test_derive_equals_hardcoded():

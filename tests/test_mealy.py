@@ -15,7 +15,7 @@ from fibc import mealy
 from fibc.adders import berstel_adder, complement_adder
 from fibc.derivation import derive_adder
 from fibc.complement import _digit_sum
-from fibc.mealy import _HEAD, _ROW, MealyMachine, MissingTransitionError
+from fibc.mealy import _ROW, MealyMachine, MissingTransitionError, _chunk
 
 from test_large_operands import ternary_words
 
@@ -277,12 +277,13 @@ def test_trace_concatenates_to_run_output():
 
 def row_index(chunk):
     """Where `run` keeps a chunk in a state's row: four symbols at their
-    base-4 value, a head of 1 to 3 symbols after the 256 of them."""
-    value = int(chunk, 4)
-    return value if len(chunk) == 4 else _HEAD[len(chunk)] + value
+    base-4 value, a head of 0 to 3 symbols at 256 plus its head byte, the
+    sentinel 1 followed by the head's symbols."""
+    value = int("1" + chunk, 4)
+    return value - 256 if len(chunk) == 4 else 256 + value
 
 
-CHUNKS = {row_index(chunk): chunk for k in range(1, 5)
+CHUNKS = {row_index(chunk): chunk for k in range(5)
           for chunk in ("".join(t) for t in product("0123", repeat=k))}
 
 
@@ -291,7 +292,7 @@ def assert_memo_matches_trace(machine, filled=True):
                for index, hit in enumerate(row[:_ROW]) if hit is not None]
     assert all(row[_ROW] == state and len(row) == _ROW + 1
                for state, row in machine._rows.items())
-    bound = len(machine.states) * (3 + 9 + 27 + 81)
+    bound = len(machine.states) * (1 + 3 + 9 + 27 + 81)
     assert len(entries) <= bound
     assert entries or not filled
     for state, chunk, (nxt, out) in entries:
@@ -300,7 +301,26 @@ def assert_memo_matches_trace(machine, filled=True):
 
 
 def test_row_layout_covers_every_chunk_once():
-    assert sorted(CHUNKS) == list(range(_ROW))
+    # Every chunk of 0 to 4 symbols over 0123 has an index of its own below
+    # _ROW, and _chunk reads that chunk back from it.
+    assert len(CHUNKS) == 1 + 4 + 16 + 64 + 256
+    for index, chunk in CHUNKS.items():
+        assert 0 <= index < _ROW
+        assert _chunk(index) == chunk
+
+
+def test_empty_word_reads_the_bare_sentinel_head():
+    # The empty word is head byte 1 alone: entry 257, which stays in the
+    # state's own row and outputs nothing.
+    for machine in (berstel_adder(), complement_adder()):
+        for state in machine.states:
+            machine._rows.clear()
+            assert machine.run("", state) == machine.final_words[state]
+            assert list(machine._rows) == [state]
+            row = machine._rows[state]
+            assert [i for i, hit in enumerate(row[:_ROW]) if hit is not None] == [257]
+            nxt, output = row[257]
+            assert nxt is row and output == ""
 
 
 def test_block_run_matches_trace_exhaustively():
@@ -394,20 +414,27 @@ def test_block_run_missing_transition(position):
 
 
 def test_warm_run_reads_only_the_memo(monkeypatch):
-    # 13 symbols: a one-symbol head, then three whole chunks.
+    # 13 symbols: a one-symbol head, then three whole chunks; 12 symbols and
+    # the empty word: the sentinel-only head, then three chunks or none.
     machine = complement_adder()
-    word = "2010202221012"
-    u, v = "1010101010101", "1000101000001"
-    expected = machine.run(word), machine.run(u, addend=v)
+    words = ["2010202221012", "201020222101", ""]
+    pairs = [("1010101010101", "1000101000001"), ("101010101010", "100010100000")]
+
+    def runs():
+        return ([machine.run(word) for word in words],
+                [machine.run(u, addend=v) for u, v in pairs])
+
+    expected = runs()
 
     def no_trace(*args):
         raise AssertionError("trace called on a warm run")
 
     monkeypatch.setattr(MealyMachine, "trace", no_trace)
-    assert (machine.run(word), machine.run(u, addend=v)) == expected
-    machine._rows.clear()
-    with pytest.raises(AssertionError, match="warm run"):
-        machine.run(word)
+    assert runs() == expected
+    for word in words:
+        machine._rows.clear()
+        with pytest.raises(AssertionError, match="warm run"):
+            machine.run(word)
 
 
 def binary_words(k):
