@@ -15,7 +15,7 @@ from itertools import product
 from operator import index
 
 from .fibonacci import _check_word, fib
-from .zeckendorf import _normalize_binary, _top_index, fib_rep, normalize_fib
+from .zeckendorf import _normalize_binary, _top_index, fib_rep
 
 
 def is_canonical(w: str) -> bool:
@@ -119,9 +119,13 @@ def canonicalize(w: str) -> str:
         raise ValueError("complement value of the empty word is undefined")
     _check_word(w, "01", "binary")
     if w[0] == "1" and len(w) % 2 == 0:
-        # Neutral prefixes keep parity, so move to odd length first: for
-        # w = 1t of length k, fib_value(t) - F(k-2) = fib_value(2t) - F(k+1).
-        return _canonical(normalize_fib("2" + w[1:]), "1", len(w) + 1)
+        # Neutral prefixes keep parity, so move to odd length at the same
+        # value: past the 10 pairs that a 1 follows, 11s is worth 0s, as
+        # F(k-1) + F(k-2) - F(k) = 0, and 100r is worth 1001r (10 is 101).
+        i = 0
+        while w.startswith("101", i):
+            i += 2
+        w = "0" + w[i + 2:] if w[i + 1] == "1" else w[i:i + 3] + "1" + w[i + 3:]
     return _canonical(_normalize_binary(w), w[0], len(w))
 
 

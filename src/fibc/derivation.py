@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
+from .complement import _words
 from .fibonacci import fib_value
 from .mealy import MealyMachine
 
@@ -88,21 +89,13 @@ def translate_word(u: str) -> Translation:
 
 def translate_tree(max_len: int) -> Iterator[tuple[str, Translation]]:
     """Yield (word, translation) for every nonempty ternary word of length
-    <= max_len, sharing the prefix work along the ternary trie.  Performs
-    the same brute-force candidate search as translate_word at each node.
+    <= max_len in radix order, each extended from its prefix's translation,
+    yielded before it, by the brute-force search that translate_word makes.
     """
-    if max_len < 1:
-        return
-
-    def expand(u: str, prev: Translation) -> Iterator[tuple[str, Translation]]:
-        for a in "012":
-            ua = u + a
-            tr = _extend(ua, prev)
-            yield ua, tr
-            if len(ua) < max_len:
-                yield from expand(ua, tr)
-
-    yield from expand("", _EMPTY)
+    done = {"": _EMPTY}
+    for u in _words("012", max_len, 1):
+        tr = done[u] = _extend(u, done[u[:-1]])
+        yield u, tr
 
 
 def step(state: CarryState, symbol: str) -> tuple[CarryState, str]:

@@ -153,9 +153,5 @@ def twos_complement_rep(n: int) -> str:
     '01011'
     """
     n = index(n)
-    if n >= 0:
-        return "0" if n == 0 else "0" + bin(n)[2:]
-    k = (-n - 1).bit_length() + 1  # least k >= 1 with -2**(k-1) <= n
-    if k == 1:
-        return "1"
-    return "1" + format(n + (1 << (k - 1)), f"0{k - 1}b")
+    k = (n if n >= 0 else ~n).bit_length() + 1  # least k: -2**(k-1) <= n < 2**(k-1)
+    return format(n & ((1 << k) - 1), f"0{k}b")

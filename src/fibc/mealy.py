@@ -8,17 +8,18 @@ read-only slotted objects: no attribute can be assigned or deleted once
 built, and only the memo behind `run` grows, caching what the transitions
 determine.  The constructor, which unpickling goes through too, is the one
 way in: it rejects any table that `run` could not use and keeps only what
-the initial state reaches, its states in breadth-first order from there so
-that exports are deterministic.  States are opaque strings; input symbols
-are the digits 0 to 3.  `json` is loaded on export, by `to_json`, so
+the initial state reaches, walked breadth-first: states and transitions in
+the order met, which is export order.  States are opaque strings; input
+symbols are the digits 0 to 3.  `json` is loaded on export, by `to_json`, so
 importing the module stays light: `import fibc` loads none of
 `dataclasses`, `json`, `inspect`, `typing`, `re`, `enum` or `threading`.
 
 `trace` is the only loop that steps one symbol at a time.  `run` reads
 "1" + word as an int in base 4: four symbols to each big-endian byte after
 one head byte, the sentinel 1 then the first len % 4 symbols (1 to 127).
-Each state has a row of `_ROW` entries, (next state's row, output) filled
-from `trace` on the first miss: chunk byte b at b, head byte h at 256 + h.
+Each state gets a row of `_ROW` empty entries with the machine, and an
+entry, (next state's row, output), is filled from `trace` on its first
+miss: chunk byte b at b, head byte h at 256 + h.
 So one step of `run` is one list index and one unpack, and the memo never
 holds more than states x (1 + |A| + |A|^2 + |A|^3 + |A|^4) entries for
 input alphabet A: states x 121 for the adders.
@@ -71,14 +72,15 @@ class MealyMachine:
 
     # _rows: state -> its row: _ROW entries, each None or (next state's
     # row, output), filled by run(), and then the state
-    __slots__ = _FIELDS + ("_rows", "_symbols")
+    __slots__ = _FIELDS + ("_rows",)
 
     def __init__(self, states: Iterable[str], initial: str,
                  transitions: Iterable[tuple[str, str, str, str]],
                  final_words: Mapping[str, str]) -> None:
         """Validate a machine given by (src, input, output, dst) tuples, as
         `sorted_transitions` lists them, and keep read-only copies of the
-        part reachable from the initial state, in breadth-first order.
+        part reachable from the initial state in breadth-first (export)
+        order, with an empty memo row for each of its states.
         """
         known = set(states)
         if initial not in known:
@@ -97,26 +99,24 @@ class MealyMachine:
                     f"nondeterministic: duplicate transition from {src!r} on {symbol!r}"
                 )
             delta[src, symbol] = (dst, output)
-        symbols = sorted({a for (_, a) in delta})
-        order, seen = [initial], {initial}
+        order, seen, kept = [initial], {initial}, {}
         for s in order:  # the list grows as states are found: a BFS queue
-            for a in symbols:
-                hit = delta.get((s, a))
-                if hit is not None and hit[0] not in seen:
-                    seen.add(hit[0])
-                    order.append(hit[0])
-        for s in order:
             if s not in final_words:
                 raise ValueError(f"no final output declared for state {s!r}")
+            for a in "0123":  # so kept holds the transitions in export order
+                hit = delta.get((s, a))
+                if hit is not None:
+                    kept[s, a] = hit
+                    if hit[0] not in seen:
+                        seen.add(hit[0])
+                        order.append(hit[0])
         # Read-only copies: a cached machine is shared by every caller.
         init = object.__setattr__
         init(self, "states", tuple(order))
         init(self, "initial", initial)
-        init(self, "transitions", MappingProxyType(
-            {key: hit for key, hit in delta.items() if key[0] in seen}))
+        init(self, "transitions", MappingProxyType(kept))
         init(self, "final_words", MappingProxyType({s: final_words[s] for s in order}))
-        init(self, "_symbols", "".join(self.input_alphabet).encode())
-        init(self, "_rows", {})
+        init(self, "_rows", {s: [None] * _ROW + [s] for s in order})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -168,18 +168,19 @@ class MealyMachine:
         The word is read as `int("1" + word, 4)`, one head byte and then
         four symbols to a byte, each byte looked up in its state's row (see
         the module docstring).  An entry seen for the first time is filled
-        from `trace` on its chunk.  A word with a symbol outside the input
-        alphabet, or with a chunk that hits a missing transition, goes to
-        `trace` as a whole, which reports the missing transition at its
-        position; a failed fill stores nothing.  Running the empty word, the
-        head alone, gives the start state's final word.
+        from `trace` on its chunk.  A word with a symbol other than 0 to 3,
+        or with a chunk that hits a missing transition, goes to `trace` as
+        a whole, which reports the missing transition at its position; a
+        failed fill stores nothing.  Running the empty word, the head alone,
+        gives the start state's final word.
         """
         state = self.initial if start is None else start
-        if state not in self.final_words:
+        row = self._rows.get(state)
+        if row is None:
             raise ValueError(f"unknown start state {state!r}")
         n = len(word)
         if addend is None:
-            if _foreign(word, self._symbols):
+            if _foreign(word, b"0123"):
                 self.trace(word, state)  # raises at the first foreign symbol
             number = int("1" + word, 4)
         else:
@@ -189,7 +190,6 @@ class MealyMachine:
                                  f"length, got lengths {n} and {len(addend)}")
             number = int("1" + word, 4) + int("0" + addend, 4)
         data = number.to_bytes(n // 4 + 1, "big")
-        row = self._rows.get(state) or self._row(state)
         fill = self._fill
         pieces: list[str] = []
         append = pieces.append
@@ -211,18 +211,11 @@ class MealyMachine:
         append(self.final_words[row[_ROW]])
         return "".join(pieces)
 
-    def _row(self, state: str) -> list:
-        """The state's row of `run`'s memo, made empty on first use."""
-        row = self._rows.get(state)
-        if row is None:
-            row = self._rows[state] = [None] * _ROW + [state]
-        return row
-
     def _fill(self, row: list, index: int) -> tuple[list, str]:
         """Fill a row entry from `trace` on its chunk, which stores nothing
         if the chunk hits a missing transition; the bare sentinel stays put."""
         steps = self.trace(_chunk(index), row[_ROW])
-        hit = row[index] = (self._row(steps[-1].next_state) if steps else row,
+        hit = row[index] = (self._rows[steps[-1].next_state] if steps else row,
                             "".join(s.output for s in steps))
         return hit
 
@@ -242,11 +235,9 @@ class MealyMachine:
         return steps
 
     def sorted_transitions(self) -> list[tuple[str, str, str, str]]:
-        """Transitions as (src, input, output, dst), in state order."""
-        index = {s: i for i, s in enumerate(self.states)}
-        items = [(src, a, out, dst) for (src, a), (dst, out) in self.transitions.items()]
-        items.sort(key=lambda t: (index[t[0]], t[1]))
-        return items
+        """Transitions as (src, input, output, dst), in state order and by
+        input symbol within a state: the order the constructor keeps."""
+        return [(src, a, out, dst) for (src, a), (dst, out) in self.transitions.items()]
 
     def to_dot(self) -> str:
         """GraphViz digraph; edges labeled input/output, empty output shown

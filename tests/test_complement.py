@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from itertools import product
@@ -12,6 +13,7 @@ from fibc.complement import (canonicalize, cmp_signed, enumerate_canonical,
                              fibc_rep, is_canonical, neutral_prefix, pad_words,
                              signed_key, sum_words)
 from fibc.fibonacci import _B, fib, fibc_value
+from fibc.mealy import MealyMachine
 from fibc.zeckendorf import fib_rep
 
 from reference_data import COMPLEMENT_WORDS
@@ -202,6 +204,29 @@ def test_canonicalize_matches_int_oracle():
         for tup in product("01", repeat=length):
             w = "".join(tup)
             assert canonicalize(w) == fibc_rep(fibc_value(w))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["0", "1", "11", "100", "1010", "101011", "10" * 500]),
+       st.integers(min_value=1025, max_value=12000), st.integers(min_value=0))
+def test_canonicalize_matches_int_oracle_on_long_words(head, length, seed):
+    # Both parities past 1024 digits; the heads reach both prefix rewrites
+    # of an even-length 1-leading word, behind neutral 10 pairs or not.
+    tail = length - len(head)
+    w = head + format(random.Random(seed).getrandbits(tail), f"0{tail}b")
+    assert canonicalize(w) == fibc_rep(fibc_value(w))
+
+
+def test_canonicalize_runs_no_adder(monkeypatch):
+    # Even lengths too move to odd length by a prefix rewrite, not a run.
+    words = ["".join(t) for k in range(2, 13, 2) for t in product("01", repeat=k)]
+    expected = [fibc_rep(fibc_value(w)) for w in words]
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("canonicalize ran an adder")
+
+    monkeypatch.setattr(MealyMachine, "run", no_run)
+    assert [canonicalize(w) for w in words] == expected
 
 
 def test_canonicalize_rejects_bad_input():

@@ -4,11 +4,12 @@ import pytest
 
 from fibc import derivation
 from fibc.adders import berstel_adder
+from fibc.complement import _words
 from fibc.derivation import (CarryRangeError, CarryState, TRIPLES, derive_adder,
                              step, translate_tree, translate_word)
 from fibc.fibonacci import fib_value
-from fibc.mealy import TraceStep
-from fibc.verify import CheckResult, append_zero_check
+from fibc.mealy import MealyMachine, TraceStep
+from fibc.verify import CheckResult, append_zero_check, derivation_check
 
 from reference_data import ADDER_FINAL_WORDS, ADDER_STATES, ADDER_TRANSITIONS
 
@@ -54,6 +55,35 @@ def test_translate_tree_matches_translate_word():
         seen += 1
         assert tr == translate_word(word)
     assert seen == sum(3 ** k for k in range(1, 6))
+
+
+def test_translate_tree_walks_words_in_radix_order():
+    assert [w for w, _ in translate_tree(4)] == list(_words("012", 4, 1))
+    assert list(translate_tree(0)) == []
+
+
+def test_derivation_check_names_the_first_failing_word(monkeypatch):
+    # A rerouted adder: from 010.4 on 1 to 001.2 instead of 000.0.  The
+    # check reports the first word in radix order that it gets wrong.
+    adder = berstel_adder()
+    bad = MealyMachine(adder.states, adder.initial,
+                       [(s, a, out, "001.2" if (s, a) == ("010.4", "1") else d)
+                        for s, a, out, d in adder.sorted_transitions()],
+                       dict(adder.final_words))
+
+    def agrees(word):
+        tr = translate_word(word)
+        return (bad.run(word), bad.trace(word)[-1].next_state) == (
+            tr.output + tr.triple, f"{tr.triple}.{tr.carry}")
+
+    words = list(_words("012", 4, 1))
+    first = next(i for i, word in enumerate(words) if not agrees(word))
+    assert words[first] == "21"
+    monkeypatch.setattr(derivation, "derive_adder", lambda: bad)
+    result = derivation_check(4)
+    assert not result.ok
+    assert result.detail == "counterexample 21"
+    assert result.checked == 1 + first + 1  # the shape, then the words
 
 
 def test_carry_examples():

@@ -17,6 +17,7 @@ from fibc.derivation import derive_adder
 from fibc.complement import _digit_sum
 from fibc.mealy import _ROW, MealyMachine, MissingTransitionError, _chunk
 
+from reference_data import ADDER_TRANSITIONS
 from test_large_operands import ternary_words
 
 
@@ -236,11 +237,40 @@ def test_machines_deep_copy_and_pickle():
         m.run("0110")  # fill some of the memo
         back = pickle.loads(pickle.dumps(m))
         assert back == m and back is not m
-        assert back._rows == {}
+        assert memo_entries(back) == []
         assert back.run("0110") == m.run("0110")
-        assert back._rows != {}
+        assert memo_entries(back) != []
         with pytest.raises(AttributeError):
             back.initial = back.initial
+
+
+def test_transitions_are_kept_in_export_order():
+    # The constructor keeps transitions as its breadth-first walk meets
+    # them, so the stored order is already states in order, then symbols;
+    # shuffled input tuples and states come out the same.
+    adder = berstel_adder()
+    tuples, states = adder.sorted_transitions(), list(adder.states)
+    random.Random(0).shuffle(tuples)
+    random.Random(0).shuffle(states)
+    shuffled = MealyMachine(states, adder.initial, tuples, dict(adder.final_words))
+    for m in (adder, complement_adder(), shuffled):
+        keys = list(m.transitions)
+        assert keys == sorted(keys, key=lambda k: (m.states.index(k[0]), k[1]))
+        assert [t[:2] for t in m.sorted_transitions()] == keys
+    assert shuffled.sorted_transitions() == ADDER_TRANSITIONS
+    assert shuffled.states == adder.states
+
+
+def test_rows_are_made_with_the_machine():
+    # One empty memo row per kept state, right away and after unpickling.
+    for m in (berstel_adder(), complement_adder(), tiny_machine(), holey_adder()):
+        fresh = MealyMachine(m.states, m.initial, m.sorted_transitions(),
+                             dict(m.final_words))
+        back = pickle.loads(pickle.dumps(m))
+        for machine in (fresh, back):
+            assert set(machine._rows) == set(machine.states)
+            assert memo_entries(machine) == []
+            assert_memo_matches_trace(machine, filled=False)  # the rows' layout
 
 
 def test_import_loads_only_what_fibc_runs():
@@ -287,6 +317,18 @@ CHUNKS = {row_index(chunk): chunk for k in range(5)
           for chunk in ("".join(t) for t in product("0123", repeat=k))}
 
 
+def forget(machine):
+    """Empty every entry of `run`'s memo; the rows themselves stay."""
+    for row in machine._rows.values():
+        row[:_ROW] = [None] * _ROW
+
+
+def memo_entries(machine):
+    """(state, row index) of every filled entry of `run`'s memo."""
+    return [(state, index) for state, row in machine._rows.items()
+            for index, hit in enumerate(row[:_ROW]) if hit is not None]
+
+
 def assert_memo_matches_trace(machine, filled=True):
     entries = [(state, CHUNKS[index], hit) for state, row in machine._rows.items()
                for index, hit in enumerate(row[:_ROW]) if hit is not None]
@@ -314,11 +356,10 @@ def test_empty_word_reads_the_bare_sentinel_head():
     # state's own row and outputs nothing.
     for machine in (berstel_adder(), complement_adder()):
         for state in machine.states:
-            machine._rows.clear()
+            forget(machine)
             assert machine.run("", state) == machine.final_words[state]
-            assert list(machine._rows) == [state]
+            assert memo_entries(machine) == [(state, 257)]
             row = machine._rows[state]
-            assert [i for i, hit in enumerate(row[:_ROW]) if hit is not None] == [257]
             nxt, output = row[257]
             assert nxt is row and output == ""
 
@@ -334,10 +375,10 @@ def test_block_run_matches_trace_exhaustively():
         for start in machine.states:
             for word in words:
                 expected[start, word] = traced_word(machine, word, start)
-                machine._rows.clear()
+                forget(machine)
                 assert machine.run(word, start) == expected[start, word]
                 assert machine.run(word, start) == expected[start, word]
-        machine._rows.clear()
+        forget(machine)
         for (start, word), result in expected.items():
             assert machine.run(word, start) == result
         assert_memo_matches_trace(machine)
@@ -385,7 +426,7 @@ def test_block_run_missing_transition(position):
         with pytest.raises(MissingTransitionError) as expected:
             machine.trace(bad)
         assert (expected.value.position, expected.value.symbol) == (position, "2")
-        machine._rows.clear()
+        forget(machine)
         with pytest.raises(MissingTransitionError) as err:
             machine.run(bad)
         assert (err.value.state, err.value.symbol, err.value.position) == (
@@ -393,7 +434,7 @@ def test_block_run_missing_transition(position):
         # The same sum read through `addend` fails at the same place.
         u = bad.replace("2", "1")
         v = "".join(str(int(a) - int(b)) for a, b in zip(bad, u))
-        machine._rows.clear()
+        forget(machine)
         with pytest.raises(MissingTransitionError) as err:
             machine.run(u, addend=v)
         assert (err.value.state, err.value.symbol, err.value.position) == (
@@ -403,7 +444,7 @@ def test_block_run_missing_transition(position):
         cut = 0 if position < head else position - (position - head) % 4
         chunk = bad[:head] if position < head else bad[cut:cut + 4]
         entry = traced_run(machine, bad[:cut])[1]
-        assert machine._rows.get(entry, [None] * _ROW)[row_index(chunk)] is None
+        assert machine._rows[entry][row_index(chunk)] is None
         assert_memo_matches_trace(machine, filled=False)
         # A symbol that no state reads is reported just as well.
         foreign = bad[:position] + "3" + bad[position + 1:]
@@ -432,7 +473,7 @@ def test_warm_run_reads_only_the_memo(monkeypatch):
     monkeypatch.setattr(MealyMachine, "trace", no_trace)
     assert runs() == expected
     for word in words:
-        machine._rows.clear()
+        forget(machine)
         with pytest.raises(AssertionError, match="warm run"):
             machine.run(word)
 
