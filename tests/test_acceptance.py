@@ -130,9 +130,9 @@ def test_criterion_9_identity_prefix_interval_relation_suites():
             # Neutral prefixes: binary to length 14, ternary version to length 10.
             (verify.neutral_prefix_check(14), 32766),
             (verify.generalized_neutral_check(10), 265719),
-            # Interval laws to length 17: canonical Zeckendorf words, words
-            # without adjacent ones and canonical complement words.
-            (verify.zeckendorf_interval_check(17), 4180),
+            # Interval laws: canonical Zeckendorf words to length 20, words
+            # without adjacent ones and canonical complement words to 17.
+            (verify.zeckendorf_interval_check(20), 17710),
             (verify.sign_split_check(17), 10943),
             (verify.canonical_interval_check(17), 4181),
             # Appending a zero to equal-value ternary pairs, to length 8.

@@ -106,16 +106,6 @@ def test_add_signed(capsys):
     assert "-10" in out
 
 
-def test_add_plain_with_trace(capsys):
-    code, out, _ = run_cli(capsys, "add", "--system", "fib", "--trace",
-                           "33", "25")
-    assert code == 0
-    assert "0010110·100" in out
-    assert "100000100" in out
-    assert "000.0 -2/0-> 010.4" in out
-    assert "100.6 -0/1-> 001.1" in out
-
-
 LONG_A, LONG_B, LONG_C = 10**3000 + 12345, -10**3000 + 678, 10**3000 - 99
 
 
@@ -177,24 +167,6 @@ def test_sub(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sub", "--system", "fib", "5", "3"])
     assert err.value.code == 2
-
-
-def test_table_text(capsys):
-    code, out, _ = run_cli(capsys, "table")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 40
-    assert "1·010" in out and "eps·000" in out
-
-
-def test_table_csv(capsys):
-    code, out, _ = run_cli(capsys, "table", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 40
-    row = dict(zip(lines[0].split(","), lines[7].split(",")))
-    assert row["word"] == "10"
-    assert row["signed_adder"] == "1·010"
 
 
 def test_export_machine_json(capsys):
@@ -313,12 +285,6 @@ def test_runtime_error_exits_1_with_message(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: expected 10 reachable classes, found 11\n"
-
-
-def test_verify_small_depth(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--depth", "2")
-    assert code == 0
-    assert "all 21 checks passed" in out
 
 
 def test_verify_depth_zero(capsys):

@@ -9,9 +9,7 @@ from fibc.derivation import (CarryRangeError, CarryState, TRIPLES, derive_adder,
                              step, translate_tree, translate_word)
 from fibc.fibonacci import fib_value
 from fibc.mealy import MealyMachine, TraceStep
-from fibc.verify import CheckResult, append_zero_check, derivation_check
-
-from reference_data import ADDER_FINAL_WORDS, ADDER_STATES, ADDER_TRANSITIONS
+from fibc.verify import CheckResult, derivation_check
 
 
 def test_records_are_plain_named_tuples():
@@ -158,14 +156,6 @@ def test_translate_rejects_an_ambiguous_extension(monkeypatch):
         translate_word("1")
 
 
-def test_derive_equals_hardcoded():
-    # The paper's figure, kept as test data, against both entry points.
-    for machine in (derive_adder(), berstel_adder()):
-        assert list(machine.states) == ADDER_STATES
-        assert machine.sorted_transitions() == ADDER_TRANSITIONS
-        assert dict(machine.final_words) == ADDER_FINAL_WORDS
-
-
 def test_derived_machine_computes_translation():
     m = derive_adder()
     for word, tr in translate_tree(6):
@@ -204,8 +194,3 @@ def test_append_zero_spot_cases():
     assert fib_value("100") - fib_value("020") == -1
     # u = w gives difference 0; the w = empty corner of part (ii) also holds.
     assert fib_value("0000") - fib_value("0000") == 0
-
-
-def test_append_zero_exhaustive():
-    result = append_zero_check(8)
-    assert result.ok and result.checked == 371376

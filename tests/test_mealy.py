@@ -317,10 +317,15 @@ CHUNKS = {row_index(chunk): chunk for k in range(5)
           for chunk in ("".join(t) for t in product("0123", repeat=k))}
 
 
+EMPTY = [None] * _ROW
+
+
 def forget(machine):
-    """Empty every entry of `run`'s memo; the rows themselves stay."""
+    """Empty every entry of `run`'s memo; the rows themselves stay.  Only
+    rows that hold an entry are rewritten, from one shared empty list."""
     for row in machine._rows.values():
-        row[:_ROW] = [None] * _ROW
+        if row.count(None) != _ROW:
+            row[:_ROW] = EMPTY
 
 
 def memo_entries(machine):
