@@ -89,7 +89,8 @@ def twos_prefix_check(max_len: int) -> CheckResult:
     val = fibonacci.twos_complement_value
     return _sweep("two's-complement neutral prefixes", f"suffixes to length {max_len}",
                   (_words("01", max_len, 0),
-                   lambda w: all(val(a + a + w) == val(a + w) for a in "01"), str))
+                   lambda w: all(val(a + a + w) == val(a + w) for a in "01"),
+                   lambda w: w or "(empty)"))
 
 
 def zeckendorf_roundtrip_check(limit: int, max_len: int) -> CheckResult:

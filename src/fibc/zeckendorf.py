@@ -19,7 +19,10 @@ and the low part is the word of n - S_m(x) < F(m), padded to m digits.
 Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits, each
 chunk read as four 16-digit blocks from the values of the block words
 followed by 48, 32 and 16 zeros (the first two tables built on the first
-leaf).  _settle steps an estimate x ~ n·phi^-m (fixed point above F(_B),
+leaf).  A word of at most _B digits reads its chunks one at a time; a
+longer one collects the chunk values of all its leaves and reads them in
+one pass over a single int with a 128-bit field per chunk (_read_chunks).
+_settle steps an estimate x ~ n·phi^-m (fixed point above F(_B),
 a float below) by one while n - S(x) is negative or at least S(x+1) - S(x),
 which is F(m) or F(m-1), so no result depends on the estimate's accuracy.
 The constants of a cut are kept once per power of two; its F(m-2), F(m-1)
@@ -35,12 +38,12 @@ from __future__ import annotations
 
 from functools import cache
 from math import isqrt
-from operator import index
+from operator import index, itemgetter
 
 from .fibonacci import _B, _check_word, _fib_pair, fib, fib_value
 
 _LOW = 16  # digits per table block; below F(2 * _LOW) a word is two blocks
-_CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _leaf
+_CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _peel
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the int round trip
 _PHI = (1 + 5**0.5) / 2
 
@@ -141,9 +144,31 @@ def _top_index(n: int) -> int:
 
 
 def _rep(n: int) -> str:
-    """fib_rep for any n >= 0, without the sign check."""
+    """fib_rep for any n >= 0, without the sign check: the chunks of a word
+    of at most _B digits (see _peel) read one at a time by _low_rep, those
+    of a longer word all at once by _read_chunks.  A cut above the top
+    digit leaves an empty top chunk, whose zeros the lstrip drops."""
+    if n >= fib(_B):
+        chunks: list[int] = []
+        _split(n, 0, chunks)
+        return _read_chunks(chunks).lstrip("0")
+    padded = _low_table()[1]
+    levels = _leaf_table()[0]
+    parts = []
+    for chunk in _peel(n):  # a loop: a comprehension costs a frame on 3.11
+        parts.append(_low_rep(chunk, padded, padded, levels))
+    return "".join(parts).lstrip("0")
+
+
+def _split(n: int, size: int, chunks: list[int]) -> None:
+    """Append to chunks the _CHUNK-digit chunk values of the word of n,
+    most significant first, after as many zero chunks as bring them to
+    size (none when size is 0, for the top of the word)."""
     if n < fib(_B):
-        return _leaf(n)
+        peeled = _peel(n)
+        chunks += [0] * (size - len(peeled))
+        chunks += peeled
+        return
     # Cut at the greatest m = _B·2^j <= _top_index(n), lowered while F(m) > n.
     j = (_top_index(n) // _B).bit_length() - 1
     while _cut_point(j)[0] > n:
@@ -158,32 +183,78 @@ def _rep(n: int) -> str:
     inv, p = inv >> q, p - q
     y = _div_phi(x + 1, inv, p)
     x, n = _settle(x, y, n - f1 * x - f2 * y, f0, f1, inv, p)
-    return _rep(x) + _rep(n).zfill(_B << j)
+    low = (_B << j) // _CHUNK
+    _split(x, size - low, chunks)
+    _split(n, low, chunks)
 
 
-def _leaf(n: int) -> str:
-    """Word of 0 <= n < F(_B), cut every _CHUNK digits below _top_index(n),
-    each chunk read as four blocks by _low_rep; a cut above the top digit
-    leaves an empty top chunk, whose zeros the lstrip drops.
+def _peel(n: int) -> list[int]:
+    """Values of the chunks of 0 <= n < F(_B) cut every _CHUNK digits below
+    _top_index(n), most significant first: each below F(_CHUNK).
 
     A chunk is below F(_CHUNK) < 2^45, so the float estimate n·phi^-m,
     whose relative error is a few units of 2^-53, is within one of it
     (at 80 digits it would not be).  The estimate x is kept when
-    0 <= n - S(x) < F(m-1) <= S(x+1) - S(x), checked exactly with _INV_PHI,
-    and settled by _settle otherwise.
+    0 <= n - S(x) < S(x+1) - S(x), which is F(m) if floor((x+2)/phi) > y
+    and F(m-1) otherwise, checked exactly with _INV_PHI (the floor only
+    when F(m-1) <= n - S(x) < F(m)), and settled by _settle otherwise.
     """
-    padded = _low_table()[1]
-    levels, cuts = _leaf_table()
-    parts = []
-    for f0, f1, f2, scale in reversed(cuts[: _top_index(n) // _CHUNK]):
+    chunks = []
+    for f0, f1, f2, scale in reversed(_leaf_table()[1][: _top_index(n) // _CHUNK]):
         x = int(n * scale)
         y = (x + 1) * _INV_PHI >> 128
         n -= f1 * x + f2 * y
-        if not 0 <= n < f1:
+        if n < 0 or n >= f1 and (n >= f0 or (x + 2) * _INV_PHI >> 128 == y):
             x, n = _settle(x, y, n, f0, f1, _INV_PHI, 128)
-        parts.append(_low_rep(x, padded, padded, levels))
-    parts.append(_low_rep(n, padded, padded, levels))
-    return "".join(parts).lstrip("0")
+        chunks.append(x)
+    chunks.append(n)
+    return chunks
+
+
+def _read_chunks(chunks: list[int]) -> str:
+    """The digits of chunk values below F(_CHUNK), each zero-padded to
+    _CHUNK digits, read in one pass over one int with a 128-bit field per
+    chunk.  For p = 48, 32, 16 each field x < F(p + 16) gets the greatest
+    block a with S_p(a) = V(a·0^p) <= x, as in _low_rep, by operations on
+    the whole int:
+    - E = (x·K + 2^63) >> 64, masked to 16 bits, is x·K/2^64 rounded, with
+      K (scale) = floor(2^192 / D) for D = F(p-1)·2^128 + F(p-2)·_INV_PHI,
+      in (2^128·phi^p - F(p-2), 2^128·phi^p] as phi^p = F(p-1) +
+      F(p-2)/phi: K is within one of 2^64·phi^-p, so x·K/2^64 is within
+      x·2^-64 < 2^-19 of x·phi^-p, E is a or a + 1 by the bound in _low_rep,
+      and E <= F(_LOW) < 2^12;
+    - S = F(p-1)·E + F(p-2)·floor((E+1)/phi) = S_p(E), the floor taken as
+      (E+1)·floor(2^40/phi) >> 40, exact for E < 2^13 by the proof above
+      _INV_PHI;
+    - G, bit 100 of x - S + 2^100, is 1 exactly when S <= x, so A =
+      E - 1 + G is a (E = 0 only if a = 0 and S = 0), and x - S_p(A) < F(p)
+      is the next x.
+    No field exceeds 2^101 < 2^128, so no carry or borrow crosses fields
+    and each mask keeps one field's bits: x·K + 2^63 < 2^64·2585 < 2^76,
+    (E+1)·floor(2^40/phi) < 2^53, and x and S <= S_p(F(_LOW)) = F(p + 16)
+    are at most F(64) < 2^45, so x - S + 2^100 is in (2^100 - 2^45,
+    2^100 + 2^45).  The three A and the last x, 16 bits each, index the
+    padded block words.
+    """
+    from struct import pack, unpack  # here, so that import fibc stays light
+
+    k = len(chunks)
+    x = int.from_bytes(pack(">" + "8xQ" * k, *chunks), "big")
+    ones = int.from_bytes((bytes(15) + b"\1") * k, "big")
+    mask, half, bias = ones * 0xFFFF, ones << 63, ones << 100
+    inv = _INV_PHI >> 88  # floor(2^40 / phi)
+    q = 0
+    for p in (3 * _LOW, 2 * _LOW, _LOW):
+        f2, f1 = _fib_pair(p - 1)
+        scale = (1 << 192) // ((f1 << 128) + f2 * _INV_PHI)
+        e = (x * scale + half) >> 64 & mask
+        g = (x - f1 * e - f2 * ((e + ones) * inv >> 40 & mask) + bias) >> 100 & ones
+        a = e + g - ones
+        x -= f1 * a + f2 * ((e + g) * inv >> 40 & mask)
+        q = (q << 16) + a
+    q = (q << 16) + x
+    blocks = itemgetter(*unpack(">" + "8x4H" * k, q.to_bytes(16 * k, "big")))
+    return "".join(blocks(_low_table()[1]))
 
 
 @cache

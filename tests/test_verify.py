@@ -148,7 +148,7 @@ FAULTS = [
     (verify.value_relation_check, (8,), fibonacci, "fibc_value", fib_value,
      2, "counterexample 1"),
     (verify.twos_prefix_check, (8,), fibonacci, "twos_complement_value", lambda w: int(w, 2),
-     1, "counterexample "),  # the empty suffix
+     1, "counterexample (empty)"),  # the empty suffix
     (verify.zeckendorf_roundtrip_check, (100, 10), zeckendorf, "fib_rep",
      swapped(zeckendorf.fib_rep), 4, "counterexample n=3"),
     (verify.zeckendorf_monotone_check, (100,), zeckendorf, "fib_rep",

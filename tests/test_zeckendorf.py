@@ -180,6 +180,52 @@ def test_rep_matches_greedy_at_block_seams():
                     assert fib_rep(n) == greedy_rep(n), (p, a, n)
 
 
+def padded_greedy(chunks):
+    """The digits of 64-digit chunks of the given values, most significant
+    first, each the greedy word of its value zero-padded."""
+    return "".join(greedy_rep(c).zfill(64) for c in chunks)
+
+
+def test_packed_reader_at_block_seams():
+    # Above F(_B) the chunks of a word are read in one packed pass, a 128-bit
+    # field each, by the same few operations on the whole int.  A block
+    # estimate is at its extremes at each value V(a·0^p) of a block word a
+    # followed by p zeros: these, for every a <= F(16) at every block offset
+    # p of a chunk, and one either side, 18 chunks (1,152 digits) to a pass,
+    # so that each field has others beside it in the same int.
+    values = []
+    for p in (0, 16, 32, 48):
+        for a in range(fib(16) + 1):
+            v = sum(own_fib(i + p) for i, c in enumerate(reversed(greedy_rep(a))) if c == "1")
+            values += [c for c in (v - 1, v, v + 1) if 0 <= c < own_fib(64)]
+    assert len(values) == 4 * 3 * 2585 - 4 - 2  # no -1 at a = 0, no F(64) or F(64) + 1
+    for i in range(0, len(values), 18):
+        chunks = (values[i : i + 18] + values[:18])[:18]
+        assert zeckendorf._read_chunks(chunks) == padded_greedy(chunks), chunks
+
+
+def test_packed_reader_on_extreme_chunks():
+    # The least and the greatest chunk, 0 and F(64) - 1 = "10" * 32, each at
+    # every position among 160 chunks of the other (10,240 digits).
+    least, greatest = 0, own_fib(64) - 1
+    words = {c: padded_greedy([c]) for c in (least, greatest)}
+    for fill, value in ((least, greatest), (greatest, least)):
+        for i in range(160):
+            chunks = [fill] * 160
+            chunks[i] = value
+            expected = "".join(words[c] for c in chunks)
+            assert zeckendorf._read_chunks(chunks) == expected, (value, i)
+
+
+def test_packed_reader_on_random_long_words():
+    # fib_rep of words of 1,025 to 30,000 digits, each read in one pass.
+    rng = random.Random(28)
+    for _ in range(24):
+        digits = rng.randint(_B + 1, 30000)
+        n = rng.randrange(fib(digits - 1), fib(digits))
+        assert fib_rep(n) == greedy_rep(n), digits
+
+
 def test_rep_at_cut_points():
     # F(k) - 1 is the alternating maximum "1010..." of length k.
     for j in range(5):
@@ -255,9 +301,9 @@ def settle_from(x, y, rest, f0, f1, x2):
 def test_estimates_off_by_three_stay_exact(monkeypatch):
     # Every cut steps from an estimate of x: above F(_B) the one that _rep
     # hands to _settle, in a leaf n·phi^-m, which the leaf keeps itself when
-    # n - S(x) is in [0, F(m-1)) and hands to _settle otherwise.  One that
-    # is off by three, or steps with a 1/phi of two spare bits, must not
-    # change a word.
+    # n - S(x) is in [0, S(x+1) - S(x)) and hands to _settle otherwise.  One
+    # that is off by three, or steps with a 1/phi of two spare bits, must
+    # not change a word.
     rng = random.Random(3)
     values = [rng.randrange(fib(k)) for k in (40, 500, 1024, 1100, 2500, 5000)]
     values += [fib(k) + d for k in (33, 64, _B, _B + 1, 2 * _B + 1) for d in (-1, 0, 1)]
@@ -299,9 +345,9 @@ def test_leaf_estimates_are_within_one(monkeypatch):
     # _settle never decides a word, so only its cost shows a leaf estimate
     # gone wrong: each must be within one of the chunk, and x moves on about
     # one chunk in eight (603 of 4,654 here: 436 estimates one above the
-    # chunk, 167 one below).  The leaf also hands over the right estimates
-    # with n - S(x) in [F(m-1), F(m)), so _settle is called on about a
-    # third of the chunks, and only the calls that move x count here.
+    # chunk, 167 one below).  The leaf keeps every right estimate, checking
+    # n - S(x) < S(x+1) - S(x) exactly, so each of its _settle calls moves
+    # x: 603 calls here, where a check against F(m-1) alone made 1,474.
     moves, chunks = [], 0
 
     def counting(x, y, rest, f0, f1, inv, p):
