@@ -16,18 +16,16 @@ with
     S_m(x) = F(m-1)·x + F(m-2)·floor((x+1)/phi) <= n,
 
 and the low part is the word of n - S_m(x) < F(m), padded to m digits.
-Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits, each
-chunk read as four 16-digit blocks from the values of the block words
-followed by 48, 32 and 16 zeros (the first two tables built on the first
-leaf).  A word of at most _B digits reads its chunks one at a time; a
-longer one collects the chunk values of all its leaves and reads them in
-one pass over a single int with a 128-bit field per chunk (_read_chunks).
-_settle steps an estimate x ~ n·phi^-m (fixed point above F(_B),
-a float below) by one while n - S(x) is negative or at least S(x+1) - S(x),
-which is F(m) or F(m-1), so no result depends on the estimate's accuracy.
-The constants of a cut are kept once per power of two; its F(m-2), F(m-1)
-are the pair that fibonacci keeps at the cut, _fib_pair(m - 1).  The block
-tables hold S_p(a) for the block values a, the same identity at m = p.
+Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits.  The
+chunk values of all the leaves are read in one pass over a single int with
+a 128-bit field per chunk, each chunk as four 16-digit blocks
+(_read_chunks).  _settle steps an estimate x ~ n·phi^-m (fixed point above
+F(_B), a float below) by one while n - S(x) is negative or at least
+S(x+1) - S(x), which is F(m) or F(m-1), so no result depends on the
+estimate's accuracy.  The constants of a cut are kept once per power of
+two; its F(m-2), F(m-1) are the pair that fibonacci keeps at the cut,
+_fib_pair(m - 1).  The blocks are read by S_p(a), the same identity at
+m = p.
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
 occurrence at once, and converts a word still not canonical after them
@@ -39,6 +37,7 @@ from __future__ import annotations
 from functools import cache
 from math import isqrt
 from operator import index, itemgetter
+from struct import pack, unpack
 
 from .fibonacci import _B, _check_word, _fib_pair, fib, fib_value
 
@@ -77,10 +76,10 @@ def _level(p: int) -> _Level:
 
 
 @cache
-def _low_table() -> tuple[list[str], list[str], tuple[_Level], int]:
+def _low_table() -> tuple[list[str], list[str], _Level, int]:
     """The Zeckendorf words below F(_LOW) in value order (so words[v] has
-    value v), each also zero-padded to _LOW digits, the levels that
-    _low_rep needs below F(2 * _LOW), and F(2 * _LOW).
+    value v), each also zero-padded to _LOW digits, _level(_LOW) and
+    F(2 * _LOW).
 
     The words of length k are "1" + w.zfill(k - 1) for the F(k - 2) words w
     below F(k - 2).  Built from this recurrence alone, not from fib_rep or
@@ -91,29 +90,7 @@ def _low_table() -> tuple[list[str], list[str], tuple[_Level], int]:
     for k in range(1, _LOW + 1):
         words += ["1" + w.zfill(k - 1) for w in words[: fib(k - 2)]]
     padded = [w.zfill(_LOW) for w in words]
-    return words, padded, (_level(_LOW),), fib(2 * _LOW)
-
-
-def _low_rep(n: int, head: list[str], padded: list[str], levels: tuple[_Level, ...]) -> str:
-    """Digits of 0 <= n < F(_LOW·(len(levels) + 1)), read block by block from
-    _level(p) for p from the highest down to _LOW: the block above p digits
-    is the greatest word a with V(a·0^p) <= n.  The top block is head[a],
-    the others padded[a]: with head = padded, all the digits, zero-padded.
-
-    n = V(a·0^p) + r, with r < F(p) and V(a·0^p) = a·phi^p + F(p-2)·d for a
-    d in (-0.382, 0.618], so n·phi^-p - a lies in (-0.172, 1.448), as
-    F(p-2) < 0.448·phi^p and F(p) < 1.171·phi^p.  Less 1/2, it truncates to
-    a - 1 or a, and one comparison with the table decides.
-    """
-    blocks = head
-    w = ""
-    for scale, shifted in levels:
-        a = int(n * scale - 0.5)
-        a += n >= shifted[a + 1]
-        w += blocks[a]
-        n -= shifted[a]
-        blocks = padded
-    return w + blocks[n]
+    return words, padded, _level(_LOW), fib(2 * _LOW)
 
 
 def fib_rep(n: int) -> str:
@@ -128,12 +105,18 @@ def fib_rep(n: int) -> str:
     n = index(n)
     if n < 0:
         raise ValueError(f"no Fibonacci representation for negative {n}")
-    words, padded, levels, top = _low_table()
+    words, padded, (scale, shifted), top = _low_table()
     if n < len(words):
         return words[n]
-    if n < top:  # n >= F(_LOW), so the top block is not empty
-        return _low_rep(n, words, padded, levels)
-    return _rep(n)
+    if n >= top:
+        return _rep(n)
+    # n = V(a·0^p) + r with p = _LOW, r < F(p) and V(a·0^p) = a·phi^p +
+    # F(p-2)·d for a d in (-0.382, 0.618], so n·phi^-p - a lies in
+    # (-0.172, 1.448), as F(p-2) < 0.448·phi^p and F(p) < 1.171·phi^p.
+    # Less 1/2, it truncates to a - 1 or a, and one comparison decides.
+    a = int(n * scale - 0.5)
+    a += n >= shifted[a + 1]
+    return words[a] + padded[n - shifted[a]]
 
 
 def _top_index(n: int) -> int:
@@ -144,20 +127,12 @@ def _top_index(n: int) -> int:
 
 
 def _rep(n: int) -> str:
-    """fib_rep for any n >= 0, without the sign check: the chunks of a word
-    of at most _B digits (see _peel) read one at a time by _low_rep, those
-    of a longer word all at once by _read_chunks.  A cut above the top
-    digit leaves an empty top chunk, whose zeros the lstrip drops."""
-    if n >= fib(_B):
-        chunks: list[int] = []
-        _split(n, 0, chunks)
-        return _read_chunks(chunks).lstrip("0")
-    padded = _low_table()[1]
-    levels = _leaf_table()[0]
-    parts = []
-    for chunk in _peel(n):  # a loop: a comprehension costs a frame on 3.11
-        parts.append(_low_rep(chunk, padded, padded, levels))
-    return "".join(parts).lstrip("0")
+    """fib_rep for any n >= 0, without the sign check: the chunks of the
+    word (see _split) read in one pass.  A cut above the top digit leaves
+    an empty top chunk, whose zeros the lstrip drops."""
+    chunks: list[int] = []
+    _split(n, 0, chunks)
+    return _read_chunks(chunks).lstrip("0")
 
 
 def _split(n: int, size: int, chunks: list[int]) -> None:
@@ -215,13 +190,12 @@ def _read_chunks(chunks: list[int]) -> str:
     """The digits of chunk values below F(_CHUNK), each zero-padded to
     _CHUNK digits, read in one pass over one int with a 128-bit field per
     chunk.  For p = 48, 32, 16 each field x < F(p + 16) gets the greatest
-    block a with S_p(a) = V(a·0^p) <= x, as in _low_rep, by operations on
-    the whole int:
+    block a with S_p(a) = V(a·0^p) <= x by operations on the whole int:
     - E = (x·K + 2^63) >> 64, masked to 16 bits, is x·K/2^64 rounded, with
       K (scale) = floor(2^192 / D) for D = F(p-1)·2^128 + F(p-2)·_INV_PHI,
       in (2^128·phi^p - F(p-2), 2^128·phi^p] as phi^p = F(p-1) +
       F(p-2)/phi: K is within one of 2^64·phi^-p, so x·K/2^64 is within
-      x·2^-64 < 2^-19 of x·phi^-p, E is a or a + 1 by the bound in _low_rep,
+      x·2^-64 < 2^-19 of x·phi^-p, E is a or a + 1 by the bound in fib_rep,
       and E <= F(_LOW) < 2^12;
     - S = F(p-1)·E + F(p-2)·floor((E+1)/phi) = S_p(E), the floor taken as
       (E+1)·floor(2^40/phi) >> 40, exact for E < 2^13 by the proof above
@@ -236,17 +210,13 @@ def _read_chunks(chunks: list[int]) -> str:
     2^100 + 2^45).  The three A and the last x, 16 bits each, index the
     padded block words.
     """
-    from struct import pack, unpack  # here, so that import fibc stays light
-
     k = len(chunks)
     x = int.from_bytes(pack(">" + "8xQ" * k, *chunks), "big")
     ones = int.from_bytes((bytes(15) + b"\1") * k, "big")
     mask, half, bias = ones * 0xFFFF, ones << 63, ones << 100
     inv = _INV_PHI >> 88  # floor(2^40 / phi)
     q = 0
-    for p in (3 * _LOW, 2 * _LOW, _LOW):
-        f2, f1 = _fib_pair(p - 1)
-        scale = (1 << 192) // ((f1 << 128) + f2 * _INV_PHI)
+    for f1, f2, scale in _leaf_table()[0]:
         e = (x * scale + half) >> 64 & mask
         g = (x - f1 * e - f2 * ((e + ones) * inv >> 40 & mask) + bias) >> 100 & ones
         a = e + g - ones
@@ -258,13 +228,16 @@ def _read_chunks(chunks: list[int]) -> str:
 
 
 @cache
-def _leaf_table() -> tuple[tuple[_Level, ...], tuple[tuple[int, int, int, float], ...]]:
-    """_level(p) for p = 3·_LOW, 2·_LOW, _LOW, and F(m), F(m-1), F(m-2) and
-    phi^-m at the cuts m = _CHUNK, 2·_CHUNK, ... below _B."""
-    levels = (_level(3 * _LOW), _level(2 * _LOW), *_low_table()[2])
+def _leaf_table() -> tuple[tuple[tuple[int, int, int], ...],
+                           tuple[tuple[int, int, int, float], ...]]:
+    """F(p-1), F(p-2) and the scale K of _read_chunks for the blocks p =
+    3·_LOW, 2·_LOW, _LOW, and F(m), F(m-1), F(m-2) and phi^-m at the cuts
+    m = _CHUNK, 2·_CHUNK, ... below _B."""
+    blocks = tuple((f1, f2, (1 << 192) // ((f1 << 128) + f2 * _INV_PHI))
+                   for f2, f1 in map(_fib_pair, (3 * _LOW - 1, 2 * _LOW - 1, _LOW - 1)))
     cuts = tuple((fib(m), fib(m - 1), fib(m - 2), _inv_phi_power(m))
                  for m in range(_CHUNK, _B, _CHUNK))
-    return levels, cuts
+    return blocks, cuts
 
 
 def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tuple[int, int]:

@@ -163,12 +163,13 @@ def test_rep_matches_greedy_at_leaf_and_cut_seams():
 
 
 def test_rep_matches_greedy_at_block_seams():
-    # A leaf reads each 64-digit chunk as four 16-digit blocks, each from
-    # an estimate checked against the values V(a·0^p) of the block words a
-    # followed by p zeros.  The estimate is at its extremes at every such
-    # value and just below it: these and one above, for every block word a
-    # and p = 16, 32, 48, about 23k values below F(64) < 2^45.  The tables
-    # themselves hold each v, then the sentinel F(16 + p).
+    # fib_rep reads a word below F(32) as two 16-digit blocks, one below
+    # F(64) as one chunk of four, each block from an estimate checked
+    # against the values V(a·0^p) of the block words a followed by p zeros.
+    # The estimate is at its extremes at every such value and just below
+    # it: these and one above, for every block word a and p = 16, 32, 48,
+    # about 23k values below F(64) < 2^45.  The tables _level(p) hold each
+    # v, then the sentinel F(16 + p).
     for p in (16, 32, 48):
         table = zeckendorf._level(p)[1]
         assert len(table) == fib(16) + 1 and table[-1] == own_fib(16 + p)
@@ -187,7 +188,7 @@ def padded_greedy(chunks):
 
 
 def test_packed_reader_at_block_seams():
-    # Above F(_B) the chunks of a word are read in one packed pass, a 128-bit
+    # Above F(32) the chunks of a word are read in one packed pass, a 128-bit
     # field each, by the same few operations on the whole int.  A block
     # estimate is at its extremes at each value V(a·0^p) of a block word a
     # followed by p zeros: these, for every a <= F(16) at every block offset
@@ -215,15 +216,6 @@ def test_packed_reader_on_extreme_chunks():
             chunks[i] = value
             expected = "".join(words[c] for c in chunks)
             assert zeckendorf._read_chunks(chunks) == expected, (value, i)
-
-
-def test_packed_reader_on_random_long_words():
-    # fib_rep of words of 1,025 to 30,000 digits, each read in one pass.
-    rng = random.Random(28)
-    for _ in range(24):
-        digits = rng.randint(_B + 1, 30000)
-        n = rng.randrange(fib(digits - 1), fib(digits))
-        assert fib_rep(n) == greedy_rep(n), digits
 
 
 def test_rep_at_cut_points():
@@ -308,7 +300,7 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
     values = [rng.randrange(fib(k)) for k in (40, 500, 1024, 1100, 2500, 5000)]
     values += [fib(k) + d for k in (33, 64, _B, _B + 1, 2 * _B + 1) for d in (-1, 0, 1)]
     expected = [greedy_rep(n) for n in values]
-    levels, cuts = zeckendorf._leaf_table()
+    blocks, cuts = zeckendorf._leaf_table()
     estimates, precisions = [], set()
 
     def skewed(skew):
@@ -316,7 +308,7 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
             def __rmul__(self, n):
                 estimates.append(n)
                 return n * float(self) + skew
-        return levels, tuple((f0, f1, f2, Scale(s)) for f0, f1, f2, s in cuts)
+        return blocks, tuple((f0, f1, f2, Scale(s)) for f0, f1, f2, s in cuts)
 
     for skew in (-3, 3):
         def off(x, y, rest, f0, f1, inv, p, skew=skew):
