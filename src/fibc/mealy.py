@@ -168,11 +168,11 @@ class MealyMachine:
         The word is read as `int("1" + word, 4)`, one head byte and then
         four symbols to a byte, each byte looked up in its state's row (see
         the module docstring).  An entry seen for the first time is filled
-        from `trace` on its chunk.  A word with a symbol other than 0 to 3,
-        or with a chunk that hits a missing transition, goes to `trace` as
-        a whole, which reports the missing transition at its position; a
-        failed fill stores nothing.  Running the empty word, the head alone,
-        gives the start state's final word.
+        from `trace` on its chunk.  A word with a symbol other than 0 to 3
+        goes to `trace` as a whole; a chunk that hits a missing transition
+        is reported at its position in the word, and its failed fill stores
+        nothing.  Running the empty word, the head alone, gives the start
+        state's final word.
         """
         state = self.initial if start is None else start
         row = self._rows.get(state)
@@ -201,13 +201,10 @@ class MealyMachine:
             for b in chunks:
                 row, output = row[b] or fill(row, b)
                 append(output)
-        except MissingTransitionError:
-            # Some chunk has no path, so neither has the word: trace the
-            # word for the position.
-            if addend is not None:
-                word = "".join(map(_chunk, data))[-n:]
-            self.trace(word, state)
-            raise
+        except MissingTransitionError as err:
+            i = len(pieces)  # the failed byte's index; the head is byte 0
+            offset = n % 4 + 4 * (i - 1) if i else 0
+            raise MissingTransitionError(err.state, err.symbol, err.position + offset) from None
         append(self.final_words[row[_ROW]])
         return "".join(pieces)
 

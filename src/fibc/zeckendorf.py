@@ -5,27 +5,26 @@ represents 0.  fib_rep and fib_value are mutually inverse between canonical
 words and the nonnegative integers, and fib_rep is increasing for the radix
 order (shorter first, then lexicographic).
 
-fib_rep reads an n below F(32) as two 16-digit blocks from a table of the
-Zeckendorf words below F(16) and their values with 16 zeros appended, built
-on first use.  Larger n are cut in two, divide and conquer.  A word hi·lo
-whose part lo has m digits has the value F(m-1)·V(hi) + F(m-2)·V'(hi) +
-V(lo), where V' weighs digit j by F(j-1), and V'(hi) = floor((x+1)/phi) for
-the Zeckendorf word hi of value x.  So the high part of n is the greatest x
-with
+fib_rep reads an n below F(32) as two 16-digit blocks from _low_table: the
+Zeckendorf words below F(16) and their values with 16 zeros appended.
+Larger n are cut in two, divide and conquer.  A word hi·lo whose part lo
+has m digits has the value F(m-1)·V(hi) + F(m-2)·V'(hi) + V(lo), where V'
+weighs digit j by F(j-1), and V'(hi) = floor((x+1)/phi) for the Zeckendorf
+word hi of value x.  So the high part of n is the greatest x with
 
     S_m(x) = F(m-1)·x + F(m-2)·floor((x+1)/phi) <= n,
 
 and the low part is the word of n - S_m(x) < F(m), padded to m digits.
-Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits.  The
-chunk values of all the leaves are read in one pass over a single int with
-a 128-bit field per chunk, each chunk as four 16-digit blocks
-(_read_chunks).  _settle steps an estimate x ~ n·phi^-m (fixed point above
-F(_B), a float below) by one while n - S(x) is negative or at least
-S(x+1) - S(x), which is F(m) or F(m-1), so no result depends on the
-estimate's accuracy.  The constants of a cut are kept once per power of
-two; its F(m-2), F(m-1) are the pair that fibonacci keeps at the cut,
-_fib_pair(m - 1).  The blocks are read by S_p(a), the same identity at
-m = p.
+Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits (_peel,
+from _leaf_table).  The chunk values of all the leaves are read in one pass
+over a single int with a 128-bit field per chunk, each chunk as four
+16-digit blocks (_read_chunks, from _low_table).  _settle steps an estimate
+x ~ n·phi^-m (fixed point above F(_B), a float below) by one while n - S(x)
+is negative or at least S(x+1) - S(x), which is F(m) or F(m-1), so no
+result depends on the estimate's accuracy.  The constants of a cut are
+kept once per power of two; its F(m-2), F(m-1) are the pair that fibonacci
+keeps at the cut, _fib_pair(m - 1).  The blocks are read by S_p(a), the
+same identity at m = p.  Every table is built on first use.
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
 occurrence at once, and converts a word still not canonical after them
@@ -56,7 +55,6 @@ def _inv_phi(p: int) -> int:  # floor(2^p / phi) = floor((sqrt(5)·2^p - 2^p) / 
 # is at least 1/(y + a·phi) > 2^-48 above y = floor(a/phi), as
 # (a/phi - y)(y + a·phi) = a^2 - a·y - y^2 is a nonzero integer for a > 0.
 _INV_PHI = _inv_phi(128)
-_Level = tuple[float, list[int]]  # phi^-p and the values V(a·0^p), see _level
 
 
 def _inv_phi_power(p: int) -> float:
@@ -65,21 +63,15 @@ def _inv_phi_power(p: int) -> float:
     return 1 / (fib(p - 1) + fib(p - 2) / _PHI)
 
 
-def _level(p: int) -> _Level:
-    """phi^-p and V(a·0^p) = S_p(a), the value of the word of a followed by
-    p zeros, for 0 <= a <= F(_LOW): the block words in value order, then
-    the sentinel F(_LOW + p) for the word after them.  The floor is exact,
-    as a + 1 <= F(_LOW) + 1 < F(_CHUNK) + 2."""
-    f2, f1 = _fib_pair(p - 1)
-    values = [f1 * a + f2 * ((a + 1) * _INV_PHI >> 128) for a in range(fib(_LOW) + 1)]
-    return _inv_phi_power(p), values
-
-
 @cache
-def _low_table() -> tuple[list[str], list[str], _Level, int]:
-    """The Zeckendorf words below F(_LOW) in value order (so words[v] has
-    value v), each also zero-padded to _LOW digits, _level(_LOW) and
-    F(2 * _LOW).
+def _low_table() -> tuple[tuple[str, ...], tuple[str, ...], float, tuple[int, ...],
+                          tuple[tuple[int, int, int], ...]]:
+    """The 16-digit block table of fib_rep and _read_chunks: the Zeckendorf
+    words below F(_LOW) in value order (so words[v] has value v) and the
+    same zero-padded to _LOW digits; phi^-p and the values S_p(a) = V(a·0^p)
+    of the block words a followed by p = _LOW zeros, then the sentinel
+    F(2·_LOW) = S_p(F(_LOW)), each floor exact as a + 1 < F(_CHUNK) + 2;
+    and F(p-1), F(p-2), K of _read_chunks for p = 3·_LOW, 2·_LOW, _LOW.
 
     The words of length k are "1" + w.zfill(k - 1) for the F(k - 2) words w
     below F(k - 2).  Built from this recurrence alone, not from fib_rep or
@@ -89,8 +81,12 @@ def _low_table() -> tuple[list[str], list[str], _Level, int]:
     words = [""]
     for k in range(1, _LOW + 1):
         words += ["1" + w.zfill(k - 1) for w in words[: fib(k - 2)]]
-    padded = [w.zfill(_LOW) for w in words]
-    return words, padded, _level(_LOW), fib(2 * _LOW)
+    levels = tuple((f1, f2, (1 << 192) // ((f1 << 128) + f2 * _INV_PHI))
+                   for f2, f1 in map(_fib_pair, (3 * _LOW - 1, 2 * _LOW - 1, _LOW - 1)))
+    f1, f2, _ = levels[-1]
+    shifted = tuple(f1 * a + f2 * ((a + 1) * _INV_PHI >> 128) for a in range(len(words) + 1))
+    return (tuple(words), tuple(w.zfill(_LOW) for w in words), _inv_phi_power(_LOW),
+            shifted, levels)
 
 
 def fib_rep(n: int) -> str:
@@ -105,10 +101,10 @@ def fib_rep(n: int) -> str:
     n = index(n)
     if n < 0:
         raise ValueError(f"no Fibonacci representation for negative {n}")
-    words, padded, (scale, shifted), top = _low_table()
+    words, padded, scale, shifted, _ = _low_table()
     if n < len(words):
         return words[n]
-    if n >= top:
+    if n >= shifted[-1]:
         return _rep(n)
     # n = V(a·0^p) + r with p = _LOW, r < F(p) and V(a·0^p) = a·phi^p +
     # F(p-2)·d for a d in (-0.382, 0.618], so n·phi^-p - a lies in
@@ -173,9 +169,10 @@ def _peel(n: int) -> list[int]:
     0 <= n - S(x) < S(x+1) - S(x), which is F(m) if floor((x+2)/phi) > y
     and F(m-1) otherwise, checked exactly with _INV_PHI (the floor only
     when F(m-1) <= n - S(x) < F(m)), and settled by _settle otherwise.
+    The cut constants come from _leaf_table, the one table it reads.
     """
     chunks = []
-    for f0, f1, f2, scale in reversed(_leaf_table()[1][: _top_index(n) // _CHUNK]):
+    for f0, f1, f2, scale in reversed(_leaf_table()[: _top_index(n) // _CHUNK]):
         x = int(n * scale)
         y = (x + 1) * _INV_PHI >> 128
         n -= f1 * x + f2 * y
@@ -208,15 +205,16 @@ def _read_chunks(chunks: list[int]) -> str:
     (E+1)·floor(2^40/phi) < 2^53, and x and S <= S_p(F(_LOW)) = F(p + 16)
     are at most F(64) < 2^45, so x - S + 2^100 is in (2^100 - 2^45,
     2^100 + 2^45).  The three A and the last x, 16 bits each, index the
-    padded block words.
+    padded block words of _low_table, the one table it reads.
     """
     k = len(chunks)
     x = int.from_bytes(pack(">" + "8xQ" * k, *chunks), "big")
     ones = int.from_bytes((bytes(15) + b"\1") * k, "big")
     mask, half, bias = ones * 0xFFFF, ones << 63, ones << 100
     inv = _INV_PHI >> 88  # floor(2^40 / phi)
+    _, padded, _, _, levels = _low_table()
     q = 0
-    for f1, f2, scale in _leaf_table()[0]:
+    for f1, f2, scale in levels:
         e = (x * scale + half) >> 64 & mask
         g = (x - f1 * e - f2 * ((e + ones) * inv >> 40 & mask) + bias) >> 100 & ones
         a = e + g - ones
@@ -224,20 +222,15 @@ def _read_chunks(chunks: list[int]) -> str:
         q = (q << 16) + a
     q = (q << 16) + x
     blocks = itemgetter(*unpack(">" + "8x4H" * k, q.to_bytes(16 * k, "big")))
-    return "".join(blocks(_low_table()[1]))
+    return "".join(blocks(padded))
 
 
 @cache
-def _leaf_table() -> tuple[tuple[tuple[int, int, int], ...],
-                           tuple[tuple[int, int, int, float], ...]]:
-    """F(p-1), F(p-2) and the scale K of _read_chunks for the blocks p =
-    3·_LOW, 2·_LOW, _LOW, and F(m), F(m-1), F(m-2) and phi^-m at the cuts
-    m = _CHUNK, 2·_CHUNK, ... below _B."""
-    blocks = tuple((f1, f2, (1 << 192) // ((f1 << 128) + f2 * _INV_PHI))
-                   for f2, f1 in map(_fib_pair, (3 * _LOW - 1, 2 * _LOW - 1, _LOW - 1)))
-    cuts = tuple((fib(m), fib(m - 1), fib(m - 2), _inv_phi_power(m))
+def _leaf_table() -> tuple[tuple[int, int, int, float], ...]:
+    """F(m), F(m-1), F(m-2) and phi^-m at the leaf cuts m = _CHUNK,
+    2·_CHUNK, ... below _B."""
+    return tuple((fib(m), fib(m - 1), fib(m - 2), _inv_phi_power(m))
                  for m in range(_CHUNK, _B, _CHUNK))
-    return blocks, cuts
 
 
 def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tuple[int, int]:

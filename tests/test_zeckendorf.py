@@ -168,17 +168,26 @@ def test_rep_matches_greedy_at_block_seams():
     # against the values V(a·0^p) of the block words a followed by p zeros.
     # The estimate is at its extremes at every such value and just below
     # it: these and one above, for every block word a and p = 16, 32, 48,
-    # about 23k values below F(64) < 2^45.  The tables _level(p) hold each
-    # v, then the sentinel F(16 + p).
+    # about 23k values below F(64) < 2^45.  The block table holds each v
+    # for p = 16, then the sentinel F(32).
+    table = zeckendorf._low_table()[3]
+    assert len(table) == fib(16) + 1 and table[-1] == own_fib(32)
     for p in (16, 32, 48):
-        table = zeckendorf._level(p)[1]
-        assert len(table) == fib(16) + 1 and table[-1] == own_fib(16 + p)
         for a in range(fib(16)):
             v = sum(own_fib(i + p) for i, c in enumerate(reversed(greedy_rep(a))) if c == "1")
-            assert table[a] == v, (p, a)
+            if p == 16:
+                assert table[a] == v, a
             for n in (v - 1, v, v + 1):
                 if n >= 0:
                     assert fib_rep(n) == greedy_rep(n), (p, a, n)
+
+
+def test_block_table_is_read_only():
+    # _low_table is cached, so every caller shares its sequences.
+    words, padded, _, shifted, levels = zeckendorf._low_table()
+    for seq in (words, padded, shifted, levels, *levels):
+        with pytest.raises(TypeError):
+            seq[0] = seq[0]
 
 
 def padded_greedy(chunks):
@@ -300,7 +309,7 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
     values = [rng.randrange(fib(k)) for k in (40, 500, 1024, 1100, 2500, 5000)]
     values += [fib(k) + d for k in (33, 64, _B, _B + 1, 2 * _B + 1) for d in (-1, 0, 1)]
     expected = [greedy_rep(n) for n in values]
-    blocks, cuts = zeckendorf._leaf_table()
+    cuts = zeckendorf._leaf_table()
     estimates, precisions = [], set()
 
     def skewed(skew):
@@ -308,7 +317,7 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
             def __rmul__(self, n):
                 estimates.append(n)
                 return n * float(self) + skew
-        return blocks, tuple((f0, f1, f2, Scale(s)) for f0, f1, f2, s in cuts)
+        return tuple((f0, f1, f2, Scale(s)) for f0, f1, f2, s in cuts)
 
     for skew in (-3, 3):
         def off(x, y, rest, f0, f1, inv, p, skew=skew):
