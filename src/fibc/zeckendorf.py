@@ -17,7 +17,7 @@ word hi of value x.  So the high part of n is the greatest x with
 and the low part is the word of n - S_m(x) < F(m), padded to m digits.
 Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits (_peel,
 from _leaf_table).  The chunk values of all the leaves are read in one pass
-over a single int with a 128-bit field per chunk, each chunk as four
+over a single int with a 64-bit field per chunk, each chunk as four
 16-digit blocks (_read_chunks, from _low_table).  _settle steps an estimate
 x ~ n·phi^-m (fixed point above F(_B), a float below) by one while n - S(x)
 is negative or at least S(x+1) - S(x), which is F(m) or F(m-1), so no
@@ -81,7 +81,7 @@ def _low_table() -> tuple[tuple[str, ...], tuple[str, ...], float, tuple[int, ..
     words = [""]
     for k in range(1, _LOW + 1):
         words += ["1" + w.zfill(k - 1) for w in words[: fib(k - 2)]]
-    levels = tuple((f1, f2, (1 << 192) // ((f1 << 128) + f2 * _INV_PHI))
+    levels = tuple((f1, f2, (1 << 178) // ((f1 << 128) + f2 * _INV_PHI))
                    for f2, f1 in map(_fib_pair, (3 * _LOW - 1, 2 * _LOW - 1, _LOW - 1)))
     f1, f2, _ = levels[-1]
     shifted = tuple(f1 * a + f2 * ((a + 1) * _INV_PHI >> 128) for a in range(len(words) + 1))
@@ -185,43 +185,45 @@ def _peel(n: int) -> list[int]:
 
 def _read_chunks(chunks: list[int]) -> str:
     """The digits of chunk values below F(_CHUNK), each zero-padded to
-    _CHUNK digits, read in one pass over one int with a 128-bit field per
+    _CHUNK digits, read in one pass over one int with a 64-bit field per
     chunk.  For p = 48, 32, 16 each field x < F(p + 16) gets the greatest
     block a with S_p(a) = V(a·0^p) <= x by operations on the whole int:
-    - E = (x·K + 2^63) >> 64, masked to 16 bits, is x·K/2^64 rounded, with
-      K (scale) = floor(2^192 / D) for D = F(p-1)·2^128 + F(p-2)·_INV_PHI,
+    - E = (x·K + 2^49) >> 50, masked to 14 bits, is x·K/2^50 rounded, with
+      K (scale) = floor(2^178 / D) for D = F(p-1)·2^128 + F(p-2)·_INV_PHI,
       in (2^128·phi^p - F(p-2), 2^128·phi^p] as phi^p = F(p-1) +
-      F(p-2)/phi: K is within one of 2^64·phi^-p, so x·K/2^64 is within
-      x·2^-64 < 2^-19 of x·phi^-p, E is a or a + 1 by the bound in fib_rep,
-      and E <= F(_LOW) < 2^12;
+      F(p-2)/phi: K is within one of 2^50·phi^-p, so x·K/2^50 is within
+      x·2^-50 < 0.025 of x·phi^-p, x·K/2^50 - a is in (-0.2, 1.5) by the
+      bound in fib_rep, E is a or a + 1, and E <= F(_LOW) < 2^12;
     - S = F(p-1)·E + F(p-2)·floor((E+1)/phi) = S_p(E), the floor taken as
       (E+1)·floor(2^40/phi) >> 40, exact for E < 2^13 by the proof above
       _INV_PHI;
-    - G, bit 100 of x - S + 2^100, is 1 exactly when S <= x, so A =
+    - G, bit 62 of x - S + 2^62, is 1 exactly when S <= x, so A =
       E - 1 + G is a (E = 0 only if a = 0 and S = 0), and x - S_p(A) < F(p)
       is the next x.
-    No field exceeds 2^101 < 2^128, so no carry or borrow crosses fields
-    and each mask keeps one field's bits: x·K + 2^63 < 2^64·2585 < 2^76,
-    (E+1)·floor(2^40/phi) < 2^53, and x and S <= S_p(F(_LOW)) = F(p + 16)
-    are at most F(64) < 2^45, so x - S + 2^100 is in (2^100 - 2^45,
-    2^100 + 2^45).  The three A and the last x, 16 bits each, index the
-    padded block words of _low_table, the one table it reads.
+    No field reaches 2^63, so no carry or borrow crosses fields and each
+    mask keeps one field's bits: x·K + 2^49 < 2^62 (about 2^61.3 at
+    x = F(p + 16) - 1), so after the shift by 50 the next field starts at
+    bit 14 and the mask has at most 14 bits; (E+1)·floor(2^40/phi) < 2^51;
+    and x and S <= S_p(F(_LOW)) = F(p + 16) are at most F(64) < 2^45, so
+    x - S + 2^62 is in (2^62 - 2^45, 2^62 + 2^45).  The three A and the
+    last x, 16 bits each, fill a field exactly and index the padded block
+    words of _low_table, the one table it reads.
     """
     k = len(chunks)
-    x = int.from_bytes(pack(">" + "8xQ" * k, *chunks), "big")
-    ones = int.from_bytes((bytes(15) + b"\1") * k, "big")
-    mask, half, bias = ones * 0xFFFF, ones << 63, ones << 100
+    x = int.from_bytes(pack(">" + "Q" * k, *chunks), "big")
+    ones = int.from_bytes((bytes(7) + b"\1") * k, "big")
+    mask, half, bias = ones * 0x3FFF, ones << 49, ones << 62
     inv = _INV_PHI >> 88  # floor(2^40 / phi)
     _, padded, _, _, levels = _low_table()
     q = 0
     for f1, f2, scale in levels:
-        e = (x * scale + half) >> 64 & mask
-        g = (x - f1 * e - f2 * ((e + ones) * inv >> 40 & mask) + bias) >> 100 & ones
+        e = (x * scale + half) >> 50 & mask
+        g = (x - f1 * e - f2 * ((e + ones) * inv >> 40 & mask) + bias) >> 62 & ones
         a = e + g - ones
         x -= f1 * a + f2 * ((e + g) * inv >> 40 & mask)
         q = (q << 16) + a
     q = (q << 16) + x
-    blocks = itemgetter(*unpack(">" + "8x4H" * k, q.to_bytes(16 * k, "big")))
+    blocks = itemgetter(*unpack(">" + "4H" * k, q.to_bytes(8 * k, "big")))
     return "".join(blocks(padded))
 
 

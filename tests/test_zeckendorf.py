@@ -197,7 +197,7 @@ def padded_greedy(chunks):
 
 
 def test_packed_reader_at_block_seams():
-    # Above F(32) the chunks of a word are read in one packed pass, a 128-bit
+    # Above F(32) the chunks of a word are read in one packed pass, a 64-bit
     # field each, by the same few operations on the whole int.  A block
     # estimate is at its extremes at each value V(a·0^p) of a block word a
     # followed by p zeros: these, for every a <= F(16) at every block offset
@@ -216,15 +216,22 @@ def test_packed_reader_at_block_seams():
 
 def test_packed_reader_on_extreme_chunks():
     # The least and the greatest chunk, 0 and F(64) - 1 = "10" * 32, each at
-    # every position among 160 chunks of the other (10,240 digits).
+    # every position among 160 chunks of the other (10,240 digits).  The
+    # largest field at block level p = 48, 32, 16 is F(p + 16) - 1, with
+    # x·K + 2^49 near 2^61.3; F(48) - 1, F(32) - 1 and F(16) - 1, whose
+    # higher blocks are 0, are each put at every position among 160 chunks
+    # of 0 and among 160 chunks of F(64) - 1.
     least, greatest = 0, own_fib(64) - 1
-    words = {c: padded_greedy([c]) for c in (least, greatest)}
-    for fill, value in ((least, greatest), (greatest, least)):
+    values = (least, greatest, own_fib(48) - 1, own_fib(32) - 1, own_fib(16) - 1)
+    words = {c: padded_greedy([c]) for c in values}
+    cases = [(least, greatest), (greatest, least)]
+    cases += [(fill, value) for value in values[2:] for fill in (least, greatest)]
+    for fill, value in cases:
         for i in range(160):
             chunks = [fill] * 160
             chunks[i] = value
             expected = "".join(words[c] for c in chunks)
-            assert zeckendorf._read_chunks(chunks) == expected, (value, i)
+            assert zeckendorf._read_chunks(chunks) == expected, (fill, value, i)
 
 
 def test_rep_at_cut_points():
