@@ -13,7 +13,7 @@ from __future__ import annotations
 import _thread
 from operator import index
 
-_B = 1024  # list cap and leaf size; F(_B) < 2**1024, so a leaf fits a float
+_B = 1024  # list cap, fib_value's leaf size and the base of the cut pairs
 _FIBS = [1, 2]  # _FIBS[i] == F(i) for 0 <= i <= _B; grown on demand under _LOCK
 _LOCK = _thread.allocate_lock()  # the lock threading.Lock() returns
 _CUT_PAIRS: dict[int, tuple[int, int]] = {}  # [m - 1] == _fib_pair(m - 1), cuts m > _B

@@ -15,16 +15,17 @@ word hi of value x.  So the high part of n is the greatest x with
     S_m(x) = F(m-1)·x + F(m-2)·floor((x+1)/phi) <= n,
 
 and the low part is the word of n - S_m(x) < F(m), padded to m digits.
-Above F(_B) the cuts fall at m = _B·2^j; below it, every 64 digits (_peel,
-from _leaf_table).  The chunk values of all the leaves are read in one pass
-over a single int with a 64-bit field per chunk, each chunk as four
-16-digit blocks (_read_chunks, from _low_table).  _settle steps an estimate
-x ~ n·phi^-m (fixed point above F(_B), a float below) by one while n - S(x)
-is negative or at least S(x+1) - S(x), which is F(m) or F(m-1), so no
-result depends on the estimate's accuracy.  The constants of a cut are
-kept once per power of two; its F(m-2), F(m-1) are the pair that fibonacci
-keeps at the cut, _fib_pair(m - 1).  The blocks are read by S_p(a), the
-same identity at m = p.  Every table is built on first use.
+Above F(_LEAF) the cuts fall at m = _B·2^j >= _LEAF; below it, every 64
+digits (_peel, from _leaf_table).  The chunk values of all the leaves are
+read in one pass over a single int with a 64-bit field per chunk, each
+chunk as four 16-digit blocks (_read_chunks, from _low_table).  Every cut
+takes a fixed-point estimate x ~ n·phi^-m and keeps it when 0 <= n - S(x)
+< S(x+1) - S(x), which is F(m) or F(m-1); otherwise _settle steps x by
+one until that holds, so no result depends on the estimate's accuracy.
+The constants of an upper cut are kept once per power of two; its F(m-2),
+F(m-1) are the pair that fibonacci keeps at the cut, _fib_pair(m - 1).
+The blocks are read by S_p(a), the same identity at m = p.  Every table
+is built on first use.
 
 normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
 occurrence at once, and converts a word still not canonical after them
@@ -42,6 +43,7 @@ from .fibonacci import _B, _check_word, _fib_pair, fib, fib_value
 
 _LOW = 16  # digits per table block; below F(2 * _LOW) a word is two blocks
 _CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _peel
+_LEAF = 4 * _B  # digits below which a part is one leaf, cut every _CHUNK digits
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the int round trip
 _PHI = (1 + 5**0.5) / 2
 
@@ -134,8 +136,15 @@ def _rep(n: int) -> str:
 def _split(n: int, size: int, chunks: list[int]) -> None:
     """Append to chunks the _CHUNK-digit chunk values of the word of n,
     most significant first, after as many zero chunks as bring them to
-    size (none when size is 0, for the top of the word)."""
-    if n < fib(_B):
+    size (none when size is 0, for the top of the word).
+
+    The upper cut keeps its estimate by the leaf's test (see _peel), with
+    floor((x+1)/phi) and floor((x+2)/phi) read from t = (x+1)·inv and
+    t + inv by _div_phi's bracket, and hands every case the bracket leaves
+    undecided to _settle.
+    """
+    limit, _ = _leaf_table()
+    if n < limit:
         peeled = _peel(n)
         chunks += [0] * (size - len(peeled))
         chunks += peeled
@@ -148,32 +157,41 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
     # x ~ n·scale / 2^e from the top k bits of each; phi^m has e - p bits,
     # so k is 64 bits more than x has.
     k = n.bit_length() - e + p + 64
-    s, t = max(n.bit_length() - k, 0), max(scale.bit_length() - k, 0)
-    x = ((n >> s) * (scale >> t)) >> (e - s - t)
+    s, r = max(n.bit_length() - k, 0), max(scale.bit_length() - k, 0)
+    x = ((n >> s) * (scale >> r)) >> (e - s - r)
     q = max(p - x.bit_length() - 64, 0)  # 1/phi to 64 bits more than x has
     inv, p = inv >> q, p - q
-    y = _div_phi(x + 1, inv, p)
-    x, n = _settle(x, y, n - f1 * x - f2 * y, f0, f1, inv, p)
+    t = (x + 1) * inv
+    y = t >> p
+    if y < (t + x + 1) >> p:
+        y = _div_phi(x + 1, inv, p)
+    n -= f1 * x + f2 * y
+    if n < 0 or n >= f1 and (n >= f0 or (t + inv) >> p <= y):
+        x, n = _settle(x, y, n, f0, f1, inv, p)
     low = (_B << j) // _CHUNK
     _split(x, size - low, chunks)
     _split(n, low, chunks)
 
 
 def _peel(n: int) -> list[int]:
-    """Values of the chunks of 0 <= n < F(_B) cut every _CHUNK digits below
-    _top_index(n), most significant first: each below F(_CHUNK).
+    """Values of the chunks of 0 <= n < F(_LEAF) cut every _CHUNK digits
+    below _top_index(n), most significant first: each below F(_CHUNK), and
+    at most _LEAF / _CHUNK of them, as the table stops below _LEAF.
 
-    A chunk is below F(_CHUNK) < 2^45, so the float estimate n·phi^-m,
-    whose relative error is a few units of 2^-53, is within one of it
-    (at 80 digits it would not be).  The estimate x is kept when
-    0 <= n - S(x) < S(x+1) - S(x), which is F(m) if floor((x+2)/phi) > y
-    and F(m-1) otherwise, checked exactly with _INV_PHI (the floor only
-    when F(m-1) <= n - S(x) < F(m)), and settled by _settle otherwise.
-    The cut constants come from _leaf_table, the one table it reads.
+    At the cut m, n < F(m + _CHUNK) < 2^(T-8), and the estimate is
+    x = (n >> s)·K >> 64 with K and s = T - 64 from _leaf_table.  K·2^-T
+    is below phi^-m by less than 2^-T and above it by less than
+    phi^-m·2^-255, and the s bits dropped from n weigh less than
+    K·2^-64 < 2^-8 (K < 2^54), so x = floor(n·phi^-m - d) for a d in
+    (-2^-200, 2^-7).  The estimate is kept when 0 <= n - S(x) <
+    S(x+1) - S(x), which is F(m) if floor((x+2)/phi) > y and F(m-1)
+    otherwise, checked exactly with _INV_PHI (the floor only when
+    F(m-1) <= n - S(x) < F(m)), and settled by _settle otherwise.
     """
     chunks = []
-    for f0, f1, f2, scale in reversed(_leaf_table()[: _top_index(n) // _CHUNK]):
-        x = int(n * scale)
+    _, cuts = _leaf_table()
+    for f0, f1, f2, scale, s in reversed(cuts[: _top_index(n) // _CHUNK]):
+        x = (n >> s) * scale >> 64
         y = (x + 1) * _INV_PHI >> 128
         n -= f1 * x + f2 * y
         if n < 0 or n >= f1 and (n >= f0 or (x + 2) * _INV_PHI >> 128 == y):
@@ -228,11 +246,27 @@ def _read_chunks(chunks: list[int]) -> str:
 
 
 @cache
-def _leaf_table() -> tuple[tuple[int, int, int, float], ...]:
-    """F(m), F(m-1), F(m-2) and phi^-m at the leaf cuts m = _CHUNK,
-    2·_CHUNK, ... below _B."""
-    return tuple((fib(m), fib(m - 1), fib(m - 2), _inv_phi_power(m))
-                 for m in range(_CHUNK, _B, _CHUNK))
+def _leaf_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+    """F(_LEAF), and F(m), F(m-1), F(m-2), K and s = T - 64 at the leaf
+    cuts m = _CHUNK, 2·_CHUNK, ... below _LEAF, where T is 8 bits more
+    than F(m + _CHUNK) has and K = floor(2^(T+256) / D) for
+    D = F(m-1)·2^256 + F(m-2)·floor(2^256/phi), in
+    (2^256·phi^m - F(m-2), 2^256·phi^m] as phi^m = F(m-1) + F(m-2)/phi.
+
+    Each pair F(m-1), F(m) steps to the next cut's by
+    F(i+c) = F(c-1)·F(i) + F(c-2)·F(i-1) at c = _CHUNK, four products
+    with ints below F(_CHUNK).
+    """
+    c2, c1 = _fib_pair(_CHUNK - 1)
+    inv = _inv_phi(256)
+    f1, f0 = _fib_pair(_CHUNK)
+    cuts = []
+    for _ in range(_CHUNK, _LEAF, _CHUNK):
+        g1, g0 = (c1 - c2) * f1 + c2 * f0, c2 * f1 + c1 * f0  # at the next cut
+        f2, t = f0 - f1, g0.bit_length() + 8
+        cuts.append((f0, f1, f2, (1 << t + 256) // ((f1 << 256) + f2 * inv), t - 64))
+        f1, f0 = g1, g0
+    return f0, tuple(cuts)
 
 
 def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tuple[int, int]:

@@ -128,22 +128,24 @@ NEAR = (-64, -2, -1, 0, 1, 2, 64)
 
 def power_bits():
     """Exponents b for the seam inputs 2^b - 1, 2^b, 2^b + 1: every b up to
-    the bit length of F(_B), and those near the bit lengths of F(2·_B) and
-    F(4·_B)."""
-    near = [fib(_B << j).bit_length() + s for j in (1, 2) for s in range(-3, 3)]
+    the bit length of F(_B), and those near the bit lengths of F(2·_B),
+    F(4·_B) and F(8·_B)."""
+    near = [fib(_B << j).bit_length() + s for j in (1, 2, 3) for s in range(-3, 3)]
     return [*range(1, fib(_B).bit_length() + 1), *near]
 
 
 def test_rep_matches_greedy_at_leaf_and_cut_seams():
     # Leaves are cut every 64 digits and below F(32) read from the table;
-    # above F(_B) the cuts fall at _B·2^j.  SEAM runs at every k <= 160
-    # (each chunk position several times), within 4 below every 32-digit
-    # boundary of a leaf (so below every 64-digit cut, where the length
-    # bound takes one spare cut), within 64 of the first cut and within 2
-    # of 2·_B and 3·_B; NEAR at every other k.  SEAM at every k would take
-    # ten times as long.
+    # above F(4·_B) the cuts fall at _B·2^j, from 4·_B on.  SEAM runs at
+    # every k <= 160 (each chunk position several times), within 4 below
+    # every 32-digit boundary below _B (so below every 64-digit cut, where
+    # the length bound takes one spare cut), within 64 of _B and within 2
+    # of 2·_B, 3·_B, 4·_B (the leaf's edge and the first cut) and 8·_B;
+    # NEAR at every other k <= 3·_B + 64.  SEAM at every k would take ten
+    # times as long.
     spare = 0
-    for k in range(3 * _B + 65):
+    ks = [*range(3 * _B + 65), *range(4 * _B - 2, 4 * _B + 3), *range(8 * _B - 2, 8 * _B + 3)]
+    for k in ks:
         full = (k <= 160 or (k < _B and -k % 32 <= 4) or abs(k - _B) <= 64
                 or min(k % _B, -k % _B) <= 2)
         for d in SEAM if full else NEAR:
@@ -151,12 +153,13 @@ def test_rep_matches_greedy_at_leaf_and_cut_seams():
             if n >= 0:
                 w, t = fib_rep(n), _top_index(n)
                 assert w == greedy_near(k, d), (k, d)
-                assert len(w) - 1 <= t <= len(w) + 1, (k, d)
+                # _top_index is at most 2 above the top digit below F(3000).
+                assert k > 3 * _B + 64 or len(w) - 1 <= t <= len(w) + 1, (k, d)
                 spare += fib(32) <= n < fib(_B) and t // 64 > (len(w) - 1) // 64
     assert spare > 1000
     # The length bound _top_index comes from n.bit_length(), so it is
-    # loosest or tightest at powers of two: every one in a leaf, and those
-    # whose words reach the cuts at 2·_B and 4·_B digits.
+    # loosest or tightest at powers of two: every one below F(_B), and
+    # those whose words reach 2·_B, 4·_B and 8·_B digits.
     for b in power_bits():
         for n in (2**b - 1, 2**b, 2**b + 1):
             assert fib_rep(n) == greedy_rep(n), n
@@ -290,6 +293,14 @@ def test_fib_pair_and_cut_constants():
         f0, f1, f2, inv, p, _, _ = _cut_point(j)
         assert (f0, f1, f2) == (own_fib(m), own_fib(m - 1), own_fib(m - 2))
         assert inv == div_phi_oracle(1 << p)  # floor(2^p / phi)
+    # The leaf cuts, stepped 64 indices at a time, and the bounds of the
+    # leaf estimate: F(m + 64) < 2^(T-8) for T = s + 64, and K < 2^54.
+    limit, cuts = zeckendorf._leaf_table()
+    assert limit == own_fib(4 * _B) and len(cuts) == 4 * _B // 64 - 1
+    for i, (f0, f1, f2, k, s) in enumerate(cuts):
+        m = 64 * (i + 1)
+        assert (f0, f1, f2) == (own_fib(m), own_fib(m - 1), own_fib(m - 2)), m
+        assert own_fib(m + 64) < 1 << s + 56 and k < 1 << 54, m
     # Words whose top digits weigh F(i) on both sides of F(_B) and the cuts.
     rng = random.Random(14)
     for k in (_B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 3 * _B + 65, (_B << 4) + 2):
@@ -307,36 +318,50 @@ def settle_from(x, y, rest, f0, f1, x2):
 
 
 def test_estimates_off_by_three_stay_exact(monkeypatch):
-    # Every cut steps from an estimate of x: above F(_B) the one that _rep
-    # hands to _settle, in a leaf n·phi^-m, which the leaf keeps itself when
-    # n - S(x) is in [0, S(x+1) - S(x)) and hands to _settle otherwise.  One
-    # that is off by three, or steps with a 1/phi of two spare bits, must
-    # not change a word.
+    # Every cut steps from a fixed-point estimate of x: in a leaf
+    # (n >> s)·K >> 64 from _leaf_table, above F(4·_B) the top bits of n
+    # times the scale of _cut_point.  Each cut keeps its estimate when
+    # n - S(x) is in [0, S(x+1) - S(x)) and hands it to _settle otherwise.
+    # Estimates off by three through both tables, or steps with a 1/phi of
+    # two spare bits, must not change a word.
     rng = random.Random(3)
-    values = [rng.randrange(fib(k)) for k in (40, 500, 1024, 1100, 2500, 5000)]
-    values += [fib(k) + d for k in (33, 64, _B, _B + 1, 2 * _B + 1) for d in (-1, 0, 1)]
+    values = [rng.randrange(fib(k)) for k in (40, 500, 1024, 1100, 2500, 5000, 9000)]
+    values += [fib(k) + d for k in (33, 64, _B, _B + 1, 2 * _B + 1, 4 * _B, 4 * _B + 1, 8 * _B + 1)
+               for d in (-1, 0, 1)]
     expected = [greedy_rep(n) for n in values]
-    cuts = zeckendorf._leaf_table()
+    limit, cuts = zeckendorf._leaf_table()
+    cut_point = zeckendorf._cut_point
     estimates, precisions = [], set()
 
-    def skewed(skew):
-        class Scale(float):  # phi^-m whose product with n is off by skew
+    def skew_estimates(skew):
+        class Product(int):  # n·K whose shift is off by skew
+            def __rshift__(self, shift):
+                return max((int(self) >> shift) + skew, 0)
+
+        class Scale(int):  # K whose products with n are Products
+            def __rshift__(self, shift):
+                return Scale(int(self) >> shift)
+
             def __rmul__(self, n):
                 estimates.append(n)
-                return n * float(self) + skew
-        return tuple((f0, f1, f2, Scale(s)) for f0, f1, f2, s in cuts)
+                return Product(n * int(self))
+        leaves = tuple((f0, f1, f2, Scale(k), t) for f0, f1, f2, k, t in cuts)
+        monkeypatch.setattr(zeckendorf, "_leaf_table", lambda: (limit, leaves))
+        monkeypatch.setattr(zeckendorf, "_cut_point",
+                            lambda j: (*cut_point(j)[:5], Scale(cut_point(j)[5]), cut_point(j)[6]))
 
+    def recording(x, y, rest, f0, f1, inv, p):
+        precisions.add(p)
+        return _settle(x, y, rest, f0, f1, inv, p)
+
+    monkeypatch.setattr(zeckendorf, "_settle", recording)
     for skew in (-3, 3):
-        def off(x, y, rest, f0, f1, inv, p, skew=skew):
-            precisions.add(p)
-            return _settle(*settle_from(x, y, rest, f0, f1, max(x + skew, 0)), f0, f1, inv, p)
-        monkeypatch.setattr(zeckendorf, "_settle", off)
-        monkeypatch.setattr(zeckendorf, "_leaf_table", lambda: skewed(skew))
+        skew_estimates(skew)
         assert [fib_rep(n) for n in values] == expected
     assert 128 in precisions and len(precisions) > 1  # leaves and upper cuts
 
-    # Leaf estimates still off by 3 all fail the leaf's check, so the coarse
-    # steps start from each of them.
+    # Estimates still off by 3 all fail the cut's check, so the coarse steps
+    # start from each of them.
     searches = []
 
     def coarse(x, y, rest, f0, f1, inv, p):
@@ -352,10 +377,10 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
 def test_leaf_estimates_are_within_one(monkeypatch):
     # _settle never decides a word, so only its cost shows a leaf estimate
     # gone wrong: each must be within one of the chunk, and x moves on about
-    # one chunk in eight (603 of 4,654 here: 436 estimates one above the
-    # chunk, 167 one below).  The leaf keeps every right estimate, checking
+    # one chunk in seven (638 of 4,654 here: 467 estimates one above the
+    # chunk, 171 one below).  The leaf keeps every right estimate, checking
     # n - S(x) < S(x+1) - S(x) exactly, so each of its _settle calls moves
-    # x: 603 calls here, where a check against F(m-1) alone made 1,474.
+    # x: 638 calls here, where a check against F(m-1) alone made 1,583.
     moves, chunks = [], 0
 
     def counting(x, y, rest, f0, f1, inv, p):
@@ -371,6 +396,42 @@ def test_leaf_estimates_are_within_one(monkeypatch):
         assert fib_rep(n) == greedy_rep(n)
     assert max(moves) == 1
     assert 0.05 * chunks < len(moves) < 0.2 * chunks
+
+
+def test_settle_and_leaf_counts_on_10k_digit_words(monkeypatch):
+    # Counters, not times: each _settle call is an estimate that had to
+    # move, and each _peel call a leaf.  A word of 10,000 digits is cut at
+    # 8,192 and 4,096 digits into three leaves.  The alternating word
+    # F(10000) - 1, whose float estimates in 1,024-digit leaves were one
+    # low at 119 of its 157 chunks, settles at most once; eight random
+    # words settle at most one chunk in six (161 of 1,256 chunks here; 225
+    # with float estimates in 1,024-digit leaves, 232 with no guard bits in
+    # the leaf's T).  An estimate within one of
+    # the answer leaves n - S(x) in [-F(m), 2·F(m)), checked first, so a
+    # far estimate fails here instead of stepping for hours.
+    settles, leaves = [], []
+    peel = zeckendorf._peel
+
+    def counting_settle(x, y, rest, f0, f1, inv, p):
+        assert -f0 <= rest < 2 * f0
+        settles.append(p)
+        return _settle(x, y, rest, f0, f1, inv, p)
+
+    def counting_peel(n):
+        leaves.append(n)
+        return peel(n)
+    monkeypatch.setattr(zeckendorf, "_settle", counting_settle)
+    monkeypatch.setattr(zeckendorf, "_peel", counting_peel)
+    assert fib_rep(fib(10000) - 1) == "10" * 5000
+    assert len(settles) <= 1 and len(leaves) == 3
+    settles.clear()
+    leaves.clear()
+    rng = random.Random(31)
+    for _ in range(8):
+        n = rng.randrange(fib(9999), fib(10000))
+        assert fib_value(fib_rep(n)) == n
+    assert len(leaves) == 8 * 3
+    assert len(settles) <= 8 * -(-10000 // 64) // 6
 
 
 def test_settle_steps_exhaustively():
@@ -431,12 +492,12 @@ def run_child(script, timeout):
 
 def test_conversions_at_20000_digits_stay_small():
     # Both conversions of 10^20000, both words valued back and F(30000)
-    # keep the shared list at F(_B): a list kept to the length of the word
-    # would hold 95,700 entries, and a greedy that keeps every F(i) up to n
-    # about 380 MB.
+    # keep the shared list within its cap F(_B): a list kept to the length
+    # of the word would hold 95,700 entries, and a greedy that keeps every
+    # F(i) up to n about 380 MB.
     rep_len, neg_len, cache_len, peak_kb = run_child(BIG_CONVERSIONS, 120)
     assert (rep_len, neg_len) == (95700, 95703)
-    assert cache_len == _B + 1
+    assert cache_len <= _B + 1
     assert peak_kb < 50 * 1024
 
 
@@ -632,10 +693,11 @@ def test_conversion_cost_independent_of_cache_history(monkeypatch):
         return fibs.reads
 
     bound = 2 * (20000).bit_length()
-    # Each call reads the cache: fib_rep above F(32) reads F(_B) (below it
-    # only its table), negative fibc_rep its F(j).
-    for call in (lambda: fib_rep(10**12), lambda: fibc_rep(-(10**12)),
-                 lambda: fibc_rep(-(10**6))):
+    # Negative fibc_rep reads its F(j) from the cache; fib_rep, once its
+    # tables are built, reads nothing there, however large the cache.
+    for call, reads_cache in ((lambda: fib_rep(10**12), False),
+                              (lambda: fibc_rep(-(10**12)), True),
+                              (lambda: fibc_rep(-(10**6)), True)):
         fresh, grown = reads(call, False), reads(call, True)
-        assert fresh > 0
+        assert (fresh > 0) == reads_cache
         assert abs(grown - fresh) <= bound
