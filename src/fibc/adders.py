@@ -98,7 +98,7 @@ def add_words(u: str, v: str) -> str:
     for w in (u, v):
         if not is_canonical(w):
             raise ValueError(f"cannot add non-canonical word {w!r}")
-    return _addition(u, v, signed=True)[-1]
+    return _addition(u, v, True)[-1]
 
 
 def add_fib(m: int, n: int) -> str:
@@ -111,7 +111,7 @@ def add_fib(m: int, n: int) -> str:
     m, n = index(m), index(n)
     if m < 0 or n < 0:
         raise ValueError("Fibonacci addition is defined for nonnegative integers")
-    return _addition(fib_rep(m), fib_rep(n), signed=False)[-1]
+    return _addition(fib_rep(m), fib_rep(n), False)[-1]
 
 
 def add_fibc(m: int, n: int) -> str:
@@ -120,7 +120,7 @@ def add_fibc(m: int, n: int) -> str:
     >>> add_fibc(-1, -9)
     '1000100'
     """
-    return _addition(fibc_rep(m), fibc_rep(n), signed=True)[-1]
+    return _addition(fibc_rep(m), fibc_rep(n), True)[-1]
 
 
 def sub_fibc(m: int, n: int) -> str:

@@ -136,14 +136,15 @@ def _canonical(z: str, lead: str, k: int) -> str:
     The value is fib_value(z) - F(k) if lead is 1, fib_value(z) otherwise.
     For odd k with lead 1 and len(z) <= k it is negative; the word 1 0...0 z
     of length k+2 has it, less the neutral 10 pairs in front that a 1 follows.
+    That word has no 11, so up to its first 00 it alternates 1010...: one
+    search for 00 finds where the canonical word starts, one digit before
+    it, and a word without 00 is all pairs and its final 1.
     """
     if lead == "1":
         if len(z) <= k:
             w = "1" + z.zfill(k + 1)
-            i = 0
-            while w.startswith("101", i):
-                i += 2
-            return w[i:]
+            i = w.find("00")
+            return w[i - 1:] if i > 0 else "1"
         z = z[1:].lstrip("0")  # the top digit of z weighs F(k)
     return ("00" if len(z) % 2 else "0") + z
 

@@ -41,11 +41,6 @@ def _chunk(index: int) -> str:
     return digits if index < 256 else digits.partition("1")[2]
 
 
-def _foreign(word: str, symbols: bytes) -> bool:
-    """True iff the word has a character other than the given ASCII symbols."""
-    return not word.isascii() or bool(word.encode().translate(None, symbols))
-
-
 class MissingTransitionError(ValueError):
     """A run hit a (state, symbol) pair with no transition."""
 
@@ -163,7 +158,9 @@ class MealyMachine:
 
         With `addend`, read the digit-wise sum of two equal-length binary
         words, `word` and `addend`, without building it; anything else
-        there is a ValueError.
+        there is a ValueError.  Both are checked in one pass over their
+        concatenation: ASCII first, as encode() raises on a lone surrogate,
+        then no byte left once 0 and 1 are deleted.
 
         The word is read as `int("1" + word, 4)`, one head byte and then
         four symbols to a byte, each byte looked up in its state's row (see
@@ -180,12 +177,15 @@ class MealyMachine:
             raise ValueError(f"unknown start state {state!r}")
         n = len(word)
         if addend is None:
-            if _foreign(word, b"0123"):
+            # ASCII first: encode() raises on a lone surrogate.
+            if not word.isascii() or word.encode().translate(None, b"0123"):
                 self.trace(word, state)  # raises at the first foreign symbol
             number = int("1" + word, 4)
         else:
             # Base 4 gives each binary digit a 2-bit field: no carries.
-            if len(addend) != n or _foreign(word + addend, b"01"):
+            pair = word + addend
+            if (len(addend) != n or not pair.isascii()
+                    or pair.encode().translate(None, b"01")):
                 raise ValueError("run with addend needs two binary words of equal "
                                  f"length, got lengths {n} and {len(addend)}")
             number = int("1" + word, 4) + int("0" + addend, 4)

@@ -27,9 +27,13 @@ F(m-1) are the pair that fibonacci keeps at the cut, _fib_pair(m - 1).
 The blocks are read by S_p(a), the same identity at m = p.  Every table
 is built on first use.
 
-normalize_fib rewrites 011 -> 100 in rounds of big-int operations, every
-occurrence at once, and converts a word still not canonical after them
-through its value: fib_value, split at the same cuts, then fib_rep.
+normalize_fib returns a binary word without 11 as it is, less its
+leading zeros: no int is built for it.  About half the adder outputs
+on words of up to 11 digits have no 11, an eighth to a sixth on 30-digit
+words, and almost none on long ones.  Any other word it rewrites
+011 -> 100 in rounds of big-int operations, every occurrence at once,
+and converts a word still not canonical after them through its value:
+fib_value, split at the same cuts, then fib_rep.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ _LOW = 16  # digits per table block; below F(2 * _LOW) a word is two blocks
 _CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _peel
 _LEAF = 4 * _B  # digits below which a part is one leaf, cut every _CHUNK digits
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the int round trip
+_SETTLE_STEPS = 16  # most steps _settle takes; the estimates need at most 2
 _PHI = (1 + 5**0.5) / 2
 
 
@@ -275,15 +280,28 @@ def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tu
     f0, f1 are F(m), F(m-1), and inv = floor(2^p / phi), p bits more than x
     has.  S(x+1) - S(x) is F(m) or F(m-1), as floor((x+2)/phi) exceeds y or
     not, so a step costs one _div_phi and one addition, no product with F.
+
+    The estimates of _peel and _split are within 2 of the answer: n·phi^-m
+    is within 1.5 of it by the bound in fib_rep, which holds at every cut,
+    and each estimate is within 2^-7 of n·phi^-m.  So a start more than
+    _SETTLE_STEPS steps away is a broken estimate, and _settle raises
+    RuntimeError rather than step on in time linear in the error.
     """
+    steps = 0  # counted in each loop: one loop for both ways costs more per call
     while rest < 0:  # S(0) = 0 <= n, so x stays >= 0
+        if steps == _SETTLE_STEPS:
+            raise RuntimeError(f"cut estimate more than {_SETTLE_STEPS} steps away")
         z = _div_phi(x, inv, p)
         x, y, rest = x - 1, z, rest + (f0 if z < y else f1)
+        steps += 1
     while rest >= f1:
         z = _div_phi(x + 2, inv, p)
         if z > y and rest < f0:
             break
+        if steps == _SETTLE_STEPS:
+            raise RuntimeError(f"cut estimate more than {_SETTLE_STEPS} steps away")
         x, y, rest = x + 1, z, rest - (f0 if z > y else f1)
+        steps += 1
     return x, rest
 
 
@@ -356,13 +374,17 @@ def normalize_fib(w: str) -> str:
 def _normalize_binary(w: str) -> str:
     """Canonical word with the same Fibonacci value as a binary word.
 
-    Rewrites every 011 -> 100 at once (F(j+2) = F(j+1) + F(j)) on the int
-    whose bit j weighs F(j): occurrences never share a digit, so * 7 flips
-    three disjoint bits for each.  A run of k ones takes about k/2 rounds,
-    so a word still not canonical after _ROUNDS rounds is converted through
-    its value instead.
+    A word without 11 is canonical but for its leading zeros, and is
+    returned without them, with no int built.  Any other word is rewritten
+    every 011 -> 100 at once (F(j+2) = F(j+1) + F(j)) on the int whose
+    bit j weighs F(j): occurrences never share a digit, so * 7 flips three
+    disjoint bits for each.  A run of k ones takes about k/2 rounds, so a
+    word still not canonical after _ROUNDS rounds is converted through its
+    value instead.
     """
-    x = int(w or "0", 2)
+    if "11" not in w:
+        return w.lstrip("0")
+    x = int(w, 2)
     for _ in range(_ROUNDS):
         pairs = x & (x >> 1)
         if not pairs:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibc import fibonacci
+from fibc.adders import add_fibc
 from fibc.complement import (canonicalize, cmp_signed, enumerate_canonical,
                              fibc_rep, is_canonical, neutral_prefix, pad_words,
                              signed_key, sum_words)
@@ -186,6 +187,29 @@ def test_canonicalize_matches_int_oracle_on_long_words(head, length, seed):
     tail = length - len(head)
     w = head + format(random.Random(seed).getrandbits(tail), f"0{tail}b")
     assert canonicalize(w) == fibc_rep(fibc_value(w))
+
+
+def own_fibc_value(w):
+    """Complement value of a word from the tests' own Fibonacci list."""
+    value = sum(own_fib(i) for i, c in enumerate(reversed(w)) if c == "1")
+    return value - own_fib(len(w)) if w[0] == "1" else value
+
+
+def test_long_alternating_prefixes_against_ints():
+    # Words that start 1010...: up to k digits of neutral 10 pairs that
+    # _canonical strips in one search, ending in 00 or running to the end.
+    # The sum (F(k) - 1) + (-F(k) - d) is -1 - d, read from k-digit words.
+    for k in [*range(1, 70), *range(500, 5001, 500), 4999]:
+        f = own_fib(k)
+        for n in (f - 1, 1 - f, f, -f):
+            w = fibc_rep(n)
+            assert is_canonical(w) and own_fibc_value(w) == n, (k, n)
+        for d in (0, 1, 2, 4, 11):
+            for m, n in ((f - 1, -f - d), (-f - d, f - 1), (1 - f, -d)):
+                w = add_fibc(m, n)
+                assert is_canonical(w) and own_fibc_value(w) == m + n, (k, m, n)
+        for w in ("10" * k + "1", "10" * k + "01", "10" * k + "0001"):
+            assert canonicalize(w) == fibc_rep(own_fibc_value(w)), (k, w[-4:])
 
 
 def test_canonicalize_runs_no_adder(monkeypatch):

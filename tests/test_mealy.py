@@ -183,6 +183,9 @@ def test_run_missing_transition_reports_position():
         m.run("0010")
     assert err.value.position == 3
     assert err.value.state == "b"
+    with pytest.raises(MissingTransitionError) as err:
+        m.run("00\ud800")  # a lone surrogate, which encode() would reject
+    assert (err.value.symbol, err.value.position) == ("\ud800", 2)
 
 
 def test_machines_are_read_only():
@@ -535,11 +538,14 @@ def test_run_rejects_what_int_would_parse(word):
 @pytest.mark.parametrize("word, addend", [
     ("01", "1"), ("", "0"), ("0", ""), ("2", "0"), ("0", "2"), ("1_0", "100"),
     ("10", " 10"), ("\uff11", "1"), ("1", "\u0661"), ("11", "3"),
+    ("\ud800", "0"), ("0", "\ud800"),  # lone surrogates, which encode() rejects
 ])
 def test_addend_must_be_binary_and_as_long(word, addend):
     with pytest.raises(ValueError) as err:
         berstel_adder().run(word, addend=addend)
     assert type(err.value) is ValueError
+    assert str(err.value) == ("run with addend needs two binary words of equal length, "
+                              f"got lengths {len(word)} and {len(addend)}")
 
 
 @pytest.mark.parametrize("symbol", ["4", "9", "a", "01", "\uff11"])

@@ -16,11 +16,11 @@ from fibc import fibonacci, zeckendorf
 from fibc.adders import add_fib, add_fibc, berstel_adder, complement_adder
 from fibc.complement import fibc_rep, sum_words
 from fibc.fibonacci import _B, _fib_pair, fib, fib_value, fibc_value
-from fibc.zeckendorf import (_INV_PHI, _ROUNDS, _cut_point, _div_phi, _normalize_binary,
-                             _settle, _top_index, cmp_radix, fib_rep, is_zeckendorf,
-                             normalize_fib)
+from fibc.zeckendorf import (_INV_PHI, _ROUNDS, _SETTLE_STEPS, _cut_point, _div_phi,
+                             _normalize_binary, _settle, _top_index, cmp_radix, fib_rep,
+                             is_zeckendorf, normalize_fib)
 
-from test_large_operands import binary_words, complement_words, ternary_words
+from test_large_operands import binary_words, complement_words, no_11, ternary_words
 
 
 def canonical_words(max_len):
@@ -454,6 +454,15 @@ def test_settle_steps_exhaustively():
                     start = settle_from(0, 0, n, f0, f1, x + d)  # from S(0) = 0
                     assert _settle(*start, f0, f1, _INV_PHI, 128) == (x, rest), (m, n, d)
         assert steps == {f0, f1}, m
+    # From the last n at m = 12, x > 200: a start _SETTLE_STEPS steps away
+    # still settles, one more step away is a broken estimate and raises.
+    for d in (-_SETTLE_STEPS - 1, -_SETTLE_STEPS, _SETTLE_STEPS, _SETTLE_STEPS + 1):
+        start = settle_from(0, 0, n, f0, f1, x + d)
+        if abs(d) > _SETTLE_STEPS:
+            with pytest.raises(RuntimeError, match="steps away"):
+                _settle(*start, f0, f1, _INV_PHI, 128)
+        else:
+            assert _settle(*start, f0, f1, _INV_PHI, 128) == (x, rest), d
 
 
 # The child's own peak memory in kB, printed last.  ru_maxrss also counts
@@ -625,8 +634,17 @@ adder_outputs = st.one_of(
         lambda uv: complement_adder().run(sum_words(*uv))))
 
 
+@st.composite
+def long_words_without_11(draw):
+    # Already canonical but for leading zeros: the words _normalize_binary
+    # returns without a round, which random bits almost never give.
+    k = draw(st.integers(1000, 12000))
+    w = no_11(format(draw(st.integers(0, 2**k - 1)), "b").zfill(k))
+    return "0" * draw(st.integers(0, 3)) + w
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.one_of(binary_words(), adder_outputs))
+@given(st.one_of(binary_words(), adder_outputs, long_words_without_11()))
 def test_normalize_binary_matches_int_oracle_on_long_words(w):
     assert _normalize_binary(w) == fib_rep(fib_value(w))
 
