@@ -19,7 +19,8 @@ Above F(_LEAF) the cuts fall at m = _B·2^j >= _LEAF; below it, every 64
 digits (_peel, from _leaf_table).  The chunk values of all the leaves are
 read in one pass over a single int with a 64-bit field per chunk, each
 chunk as four 16-digit blocks (_read_chunks, from _low_table).  Every cut
-takes a fixed-point estimate x ~ n·phi^-m and keeps it when 0 <= n - S(x)
+takes the estimate x = (n >> s)·K >> c, with s and c fixed per cut and K
+~ 2^(s+c)·phi^-m from the one builder _recip, and keeps it when 0 <= n - S(x)
 < S(x+1) - S(x), which is F(m) or F(m-1); otherwise _settle steps x by
 one until that holds, so no result depends on the estimate's accuracy.
 The constants of an upper cut are kept once per power of two; its F(m-2),
@@ -50,9 +51,9 @@ _CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _peel
 _LEAF = 4 * _B  # digits below which a part is one leaf, cut every _CHUNK digits
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the int round trip
 _SETTLE_STEPS = 16  # most steps _settle takes; the estimates need at most 2
-_PHI = (1 + 5**0.5) / 2
 
 
+@cache
 def _inv_phi(p: int) -> int:  # floor(2^p / phi) = floor((sqrt(5)·2^p - 2^p) / 2)
     return (isqrt(5 << 2 * p) - (1 << p)) >> 1
 
@@ -64,21 +65,46 @@ def _inv_phi(p: int) -> int:  # floor(2^p / phi) = floor((sqrt(5)·2^p - 2^p) / 
 _INV_PHI = _inv_phi(128)
 
 
-def _inv_phi_power(p: int) -> float:
-    """phi^-p to a few ulps, from phi^p = F(p-1) + F(p-2)/phi; _PHI**-p
-    would carry p times the rounding error of _PHI."""
-    return 1 / (fib(p - 1) + fib(p - 2) / _PHI)
+def _recip(m: int, t: int, p: int) -> tuple[int, int, int]:
+    """F(m-1), F(m-2) and K = floor(2^(t+p) / D), the 2^t·phi^-m of every
+    cut, for D = F(m-1)·2^p + F(m-2)·floor(2^p/phi) and m >= 1.
+
+    As phi^m = F(m-1) + F(m-2)/phi, D is in (2^p·phi^m - F(m-2),
+    2^p·phi^m], and F(m-2) < phi^m, so K·2^-t is above phi^-m - 2^-t and
+    below phi^-m / (1 - 2^-p) <= phi^-m·(1 + 2^(1-p)).
+    """
+    f2, f1 = _fib_pair(m - 1)
+    return f1, f2, (1 << t + p) // ((f1 << p) + f2 * _inv_phi(p))
+
+
+def _cut(m: int, top: int, p: int) -> tuple[int, int, int, int, int, int]:
+    """F(m), F(m-1), F(m-2), K, s and c of the cut at m for n < F(top):
+    K = _recip(m, s + c, p) with F(top) < 2^(s+c-8) and K < 2^(c-8).
+
+    The estimate x = (n >> s)·K >> c is then floor(n·phi^-m - d) for a d
+    in (-2^-9, 2^-7) when F(top) < F(m-1)·2^(p-10): by _recip, n·K·2^-(s+c)
+    is below n·phi^-m by less than n·2^-(s+c) < 2^-8 and above it by less
+    than n·phi^-m·2^(1-p) < 2^-9, as phi^m > F(m-1); and the s bits dropped
+    from n weigh less than K·2^-c < 2^-8.  t = s + c comes from a bound on
+    the length of F(top) < 1.171·phi^top < 2^(0.69425·top + 0.23), not
+    from F(top), which above F(_B) would build and keep a cut pair.
+    """
+    t = top * 6943 // 10000 + 10
+    f1, f2, k = _recip(m, t, p)
+    c = k.bit_length() + 8
+    return f1 + f2, f1, f2, k, t - c, c
 
 
 @cache
-def _low_table() -> tuple[tuple[str, ...], tuple[str, ...], float, tuple[int, ...],
+def _low_table() -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...],
                           tuple[tuple[int, int, int], ...]]:
     """The 16-digit block table of fib_rep and _read_chunks: the Zeckendorf
     words below F(_LOW) in value order (so words[v] has value v) and the
-    same zero-padded to _LOW digits; phi^-p and the values S_p(a) = V(a·0^p)
-    of the block words a followed by p = _LOW zeros, then the sentinel
+    same zero-padded to _LOW digits; the values S_p(a) = V(a·0^p) of the
+    block words a followed by p = _LOW zeros, then the sentinel
     F(2·_LOW) = S_p(F(_LOW)), each floor exact as a + 1 < F(_CHUNK) + 2;
-    and F(p-1), F(p-2), K of _read_chunks for p = 3·_LOW, 2·_LOW, _LOW.
+    and F(p-1), F(p-2), K = _recip(p, 50, 128) of _read_chunks for
+    p = 3·_LOW, 2·_LOW, _LOW.
 
     The words of length k are "1" + w.zfill(k - 1) for the F(k - 2) words w
     below F(k - 2).  Built from this recurrence alone, not from fib_rep or
@@ -88,12 +114,10 @@ def _low_table() -> tuple[tuple[str, ...], tuple[str, ...], float, tuple[int, ..
     words = [""]
     for k in range(1, _LOW + 1):
         words += ["1" + w.zfill(k - 1) for w in words[: fib(k - 2)]]
-    levels = tuple((f1, f2, (1 << 178) // ((f1 << 128) + f2 * _INV_PHI))
-                   for f2, f1 in map(_fib_pair, (3 * _LOW - 1, 2 * _LOW - 1, _LOW - 1)))
+    levels = tuple(_recip(p, 50, 128) for p in (3 * _LOW, 2 * _LOW, _LOW))
     f1, f2, _ = levels[-1]
     shifted = tuple(f1 * a + f2 * ((a + 1) * _INV_PHI >> 128) for a in range(len(words) + 1))
-    return (tuple(words), tuple(w.zfill(_LOW) for w in words), _inv_phi_power(_LOW),
-            shifted, levels)
+    return tuple(words), tuple(w.zfill(_LOW) for w in words), shifted, levels
 
 
 def fib_rep(n: int) -> str:
@@ -108,17 +132,18 @@ def fib_rep(n: int) -> str:
     n = index(n)
     if n < 0:
         raise ValueError(f"no Fibonacci representation for negative {n}")
-    words, padded, scale, shifted, _ = _low_table()
+    words, padded, shifted, levels = _low_table()
     if n < len(words):
         return words[n]
     if n >= shifted[-1]:
         return _rep(n)
     # n = V(a·0^p) + r with p = _LOW, r < F(p) and V(a·0^p) = a·phi^p +
     # F(p-2)·d for a d in (-0.382, 0.618], so n·phi^-p - a lies in
-    # (-0.172, 1.448), as F(p-2) < 0.448·phi^p and F(p) < 1.171·phi^p.
-    # Less 1/2, it truncates to a - 1 or a, and one comparison decides.
-    a = int(n * scale - 0.5)
-    a += n >= shifted[a + 1]
+    # (-0.172, 1.448), as F(p-2) < 0.448·phi^p and F(p) < 1.171·phi^p; so
+    # at every cut.  As in _read_chunks' level p = _LOW, E is a or a + 1,
+    # and one comparison with S_p(E) decides.
+    a = (n * levels[-1][2] + (1 << 49)) >> 50
+    a -= n < shifted[a]
     return words[a] + padded[n - shifted[a]]
 
 
@@ -143,10 +168,8 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
     most significant first, after as many zero chunks as bring them to
     size (none when size is 0, for the top of the word).
 
-    The upper cut keeps its estimate by the leaf's test (see _peel), with
-    floor((x+1)/phi) and floor((x+2)/phi) read from t = (x+1)·inv and
-    t + inv by _div_phi's bracket, and hands every case the bracket leaves
-    undecided to _settle.
+    An upper cut estimates and tests x as a leaf cut does (see _peel), its
+    floors of (x+1)/phi and (x+2)/phi from _div_phi with the cut's 1/phi.
     """
     limit, _ = _leaf_table()
     if n < limit:
@@ -158,20 +181,11 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
     j = (_top_index(n) // _B).bit_length() - 1
     while _cut_point(j)[0] > n:
         j -= 1
-    f0, f1, f2, inv, p, scale, e = _cut_point(j)
-    # x ~ n·scale / 2^e from the top k bits of each; phi^m has e - p bits,
-    # so k is 64 bits more than x has.
-    k = n.bit_length() - e + p + 64
-    s, r = max(n.bit_length() - k, 0), max(scale.bit_length() - k, 0)
-    x = ((n >> s) * (scale >> r)) >> (e - s - r)
-    q = max(p - x.bit_length() - 64, 0)  # 1/phi to 64 bits more than x has
-    inv, p = inv >> q, p - q
-    t = (x + 1) * inv
-    y = t >> p
-    if y < (t + x + 1) >> p:
-        y = _div_phi(x + 1, inv, p)
+    f0, f1, f2, scale, s, c, inv, p = _cut_point(j)
+    x = (n >> s) * scale >> c
+    y = _div_phi(x + 1, inv, p)
     n -= f1 * x + f2 * y
-    if n < 0 or n >= f1 and (n >= f0 or (t + inv) >> p <= y):
+    if n < 0 or n >= f1 and (n >= f0 or _div_phi(x + 2, inv, p) == y):
         x, n = _settle(x, y, n, f0, f1, inv, p)
     low = (_B << j) // _CHUNK
     _split(x, size - low, chunks)
@@ -183,20 +197,17 @@ def _peel(n: int) -> list[int]:
     below _top_index(n), most significant first: each below F(_CHUNK), and
     at most _LEAF / _CHUNK of them, as the table stops below _LEAF.
 
-    At the cut m, n < F(m + _CHUNK) < 2^(T-8), and the estimate is
-    x = (n >> s)·K >> 64 with K and s = T - 64 from _leaf_table.  K·2^-T
-    is below phi^-m by less than 2^-T and above it by less than
-    phi^-m·2^-255, and the s bits dropped from n weigh less than
-    K·2^-64 < 2^-8 (K < 2^54), so x = floor(n·phi^-m - d) for a d in
-    (-2^-200, 2^-7).  The estimate is kept when 0 <= n - S(x) <
+    At the cut m, n < F(m + _CHUNK), and the estimate x = (n >> s)·K >> c
+    from _leaf_table is floor(n·phi^-m - d) for a d in (-2^-9, 2^-7), by
+    _cut.  The estimate is kept when 0 <= n - S(x) <
     S(x+1) - S(x), which is F(m) if floor((x+2)/phi) > y and F(m-1)
     otherwise, checked exactly with _INV_PHI (the floor only when
     F(m-1) <= n - S(x) < F(m)), and settled by _settle otherwise.
     """
     chunks = []
     _, cuts = _leaf_table()
-    for f0, f1, f2, scale, s in reversed(cuts[: _top_index(n) // _CHUNK]):
-        x = (n >> s) * scale >> 64
+    for f0, f1, f2, scale, s, c in reversed(cuts[: _top_index(n) // _CHUNK]):
+        x = (n >> s) * scale >> c
         y = (x + 1) * _INV_PHI >> 128
         n -= f1 * x + f2 * y
         if n < 0 or n >= f1 and (n >= f0 or (x + 2) * _INV_PHI >> 128 == y):
@@ -212,9 +223,8 @@ def _read_chunks(chunks: list[int]) -> str:
     chunk.  For p = 48, 32, 16 each field x < F(p + 16) gets the greatest
     block a with S_p(a) = V(a·0^p) <= x by operations on the whole int:
     - E = (x·K + 2^49) >> 50, masked to 14 bits, is x·K/2^50 rounded, with
-      K (scale) = floor(2^178 / D) for D = F(p-1)·2^128 + F(p-2)·_INV_PHI,
-      in (2^128·phi^p - F(p-2), 2^128·phi^p] as phi^p = F(p-1) +
-      F(p-2)/phi: K is within one of 2^50·phi^-p, so x·K/2^50 is within
+      K (scale) = _recip(p, 50, 128) within one of 2^50·phi^-p, so
+      x·K/2^50 is within
       x·2^-50 < 0.025 of x·phi^-p, x·K/2^50 - a is in (-0.2, 1.5) by the
       bound in fib_rep, E is a or a + 1, and E <= F(_LOW) < 2^12;
     - S = F(p-1)·E + F(p-2)·floor((E+1)/phi) = S_p(E), the floor taken as
@@ -237,7 +247,7 @@ def _read_chunks(chunks: list[int]) -> str:
     ones = int.from_bytes((bytes(7) + b"\1") * k, "big")
     mask, half, bias = ones * 0x3FFF, ones << 49, ones << 62
     inv = _INV_PHI >> 88  # floor(2^40 / phi)
-    _, padded, _, _, levels = _low_table()
+    _, padded, _, levels = _low_table()
     q = 0
     for f1, f2, scale in levels:
         e = (x * scale + half) >> 50 & mask
@@ -251,27 +261,10 @@ def _read_chunks(chunks: list[int]) -> str:
 
 
 @cache
-def _leaf_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
-    """F(_LEAF), and F(m), F(m-1), F(m-2), K and s = T - 64 at the leaf
-    cuts m = _CHUNK, 2·_CHUNK, ... below _LEAF, where T is 8 bits more
-    than F(m + _CHUNK) has and K = floor(2^(T+256) / D) for
-    D = F(m-1)·2^256 + F(m-2)·floor(2^256/phi), in
-    (2^256·phi^m - F(m-2), 2^256·phi^m] as phi^m = F(m-1) + F(m-2)/phi.
-
-    Each pair F(m-1), F(m) steps to the next cut's by
-    F(i+c) = F(c-1)·F(i) + F(c-2)·F(i-1) at c = _CHUNK, four products
-    with ints below F(_CHUNK).
-    """
-    c2, c1 = _fib_pair(_CHUNK - 1)
-    inv = _inv_phi(256)
-    f1, f0 = _fib_pair(_CHUNK)
-    cuts = []
-    for _ in range(_CHUNK, _LEAF, _CHUNK):
-        g1, g0 = (c1 - c2) * f1 + c2 * f0, c2 * f1 + c1 * f0  # at the next cut
-        f2, t = f0 - f1, g0.bit_length() + 8
-        cuts.append((f0, f1, f2, (1 << t + 256) // ((f1 << 256) + f2 * inv), t - 64))
-        f1, f0 = g1, g0
-    return f0, tuple(cuts)
+def _leaf_table() -> tuple[int, tuple[tuple[int, int, int, int, int, int], ...]]:
+    """F(_LEAF), and the _cut constants of the leaf cuts m = _CHUNK,
+    2·_CHUNK, ... below _LEAF for n < F(m + _CHUNK), with p = 128."""
+    return fib(_LEAF), tuple(_cut(m, m + _CHUNK, 128) for m in range(_CHUNK, _LEAF, _CHUNK))
 
 
 def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tuple[int, int]:
@@ -321,18 +314,14 @@ def _div_phi(a: int, inv: int, p: int) -> int:
 
 
 @cache
-def _cut_point(j: int) -> tuple[int, int, int, int, int, int, int]:
-    """Constants of the cut at m = _B·2^j, built on first use: F(m), F(m-1),
-    F(m-2) from the pair kept at the cut, inv = floor(2^p / phi) with p = 64
-    bits more than F(m-1) has, and scale ~ 2^e / phi^m to about p bits, as
-    phi^m = F(m-1) + F(m-2)/phi.
+def _cut_point(j: int) -> tuple[int, int, int, int, int, int, int, int]:
+    """The _cut constants of the cut at m = _B·2^j for n < F(2m), then
+    inv = floor(2^p / phi) and p, 64 bits more than F(m-1) has; F(m-2),
+    F(m-1) are the pair that fibonacci keeps at the cut.
     """
-    f2, f1 = _fib_pair((_B << j) - 1)
-    p = f1.bit_length() + 64
-    inv = _inv_phi(p)
-    d = (f1 << p) + f2 * inv  # ~ 2^p·phi^m
-    e = d.bit_length()
-    return f1 + f2, f1, f2, inv, p, (1 << (e + p)) // d, e
+    m = _B << j
+    p = _fib_pair(m - 1)[1].bit_length() + 64
+    return (*_cut(m, 2 * m, p), _inv_phi(p), p)
 
 
 def is_zeckendorf(w: str) -> bool:

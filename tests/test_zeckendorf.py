@@ -173,7 +173,7 @@ def test_rep_matches_greedy_at_block_seams():
     # it: these and one above, for every block word a and p = 16, 32, 48,
     # about 23k values below F(64) < 2^45.  The block table holds each v
     # for p = 16, then the sentinel F(32).
-    table = zeckendorf._low_table()[3]
+    table = zeckendorf._low_table()[2]
     assert len(table) == fib(16) + 1 and table[-1] == own_fib(32)
     for p in (16, 32, 48):
         for a in range(fib(16)):
@@ -187,7 +187,7 @@ def test_rep_matches_greedy_at_block_seams():
 
 def test_block_table_is_read_only():
     # _low_table is cached, so every caller shares its sequences.
-    words, padded, _, shifted, levels = zeckendorf._low_table()
+    words, padded, shifted, levels = zeckendorf._low_table()
     for seq in (words, padded, shifted, levels, *levels):
         with pytest.raises(TypeError):
             seq[0] = seq[0]
@@ -272,7 +272,7 @@ def test_div_phi_exhaustive():
 
 def test_div_phi_on_10k_digit_numbers():
     rng = random.Random(12)
-    _, _, _, inv, p, _, _ = _cut_point(6)  # 1/phi to about 45,500 bits
+    *_, inv, p = _cut_point(6)  # 1/phi to about 45,500 bits
     for _ in range(40):
         a = rng.randrange(10**9999, 10**10000)  # about 33,200 bits
         assert _div_phi(a, inv, p) == div_phi_oracle(a)
@@ -288,19 +288,26 @@ def test_fib_pair_and_cut_constants():
     for k in ks:
         assert fib(k) == own_fib(k), k
         assert _fib_pair(k) == (own_fib(k - 1), own_fib(k)), k
-    for j in range(5):
-        m = _B << j
-        f0, f1, f2, inv, p, _, _ = _cut_point(j)
-        assert (f0, f1, f2) == (own_fib(m), own_fib(m - 1), own_fib(m - 2))
-        assert inv == div_phi_oracle(1 << p)  # floor(2^p / phi)
-    # The leaf cuts, stepped 64 indices at a time, and the bounds of the
-    # leaf estimate: F(m + 64) < 2^(T-8) for T = s + 64, and K < 2^54.
+    def recip(m, t, p):  # floor(2^(t+p) / D) from the tests' own F and 1/phi
+        return (1 << t + p) // ((own_fib(m - 1) << p) + own_fib(m - 2) * div_phi_oracle(1 << p))
+
+    # Every cut constant against its oracle: the three block levels, then
+    # the 63 leaf cuts (n < F(m + 64), p = 128) and the upper cuts
+    # (n < F(2m)), with the bounds the estimate (n >> s)·K >> c needs:
+    # K·2^-c < 2^-8, F(top) < 2^(s+c-8) and F(top) < F(m-1)·2^(p-10).
+    levels = zeckendorf._low_table()[3]
+    assert levels == tuple((own_fib(p - 1), own_fib(p - 2), recip(p, 50, 128)) for p in (48, 32, 16))
     limit, cuts = zeckendorf._leaf_table()
     assert limit == own_fib(4 * _B) and len(cuts) == 4 * _B // 64 - 1
-    for i, (f0, f1, f2, k, s) in enumerate(cuts):
-        m = 64 * (i + 1)
+    upper = [(_B << j, 2 * _B << j, _cut_point(j)) for j in range(5)]
+    leaves = [(64 * (i + 1), 64 * (i + 2), (*cut, _INV_PHI, 128)) for i, cut in enumerate(cuts)]
+    for m, top, (f0, f1, f2, k, s, c, inv, p) in leaves + upper:
         assert (f0, f1, f2) == (own_fib(m), own_fib(m - 1), own_fib(m - 2)), m
-        assert own_fib(m + 64) < 1 << s + 56 and k < 1 << 54, m
+        assert inv == div_phi_oracle(1 << p)  # floor(2^p / phi)
+        assert k == recip(m, s + c, p), m
+        # F(2m) = F(m-1)·F(m) + F(m-2)·F(m-1), so no own_fib list to 2m.
+        f_top = own_fib(top) if top <= 4 * _B else f1 * f0 + f2 * f1
+        assert k < 1 << c - 8 and f_top < 1 << s + c - 8 and f_top < f1 << p - 10, m
     # Words whose top digits weigh F(i) on both sides of F(_B) and the cuts.
     rng = random.Random(14)
     for k in (_B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 3 * _B + 65, (_B << 4) + 2):
@@ -318,9 +325,8 @@ def settle_from(x, y, rest, f0, f1, x2):
 
 
 def test_estimates_off_by_three_stay_exact(monkeypatch):
-    # Every cut steps from a fixed-point estimate of x: in a leaf
-    # (n >> s)·K >> 64 from _leaf_table, above F(4·_B) the top bits of n
-    # times the scale of _cut_point.  Each cut keeps its estimate when
+    # Every cut steps from a fixed-point estimate of x, (n >> s)·K >> c with
+    # the K of _leaf_table or of _cut_point.  Each cut keeps its estimate when
     # n - S(x) is in [0, S(x+1) - S(x)) and hands it to _settle otherwise.
     # Estimates off by three through both tables, or steps with a 1/phi of
     # two spare bits, must not change a word.
@@ -339,16 +345,14 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
                 return max((int(self) >> shift) + skew, 0)
 
         class Scale(int):  # K whose products with n are Products
-            def __rshift__(self, shift):
-                return Scale(int(self) >> shift)
-
             def __rmul__(self, n):
                 estimates.append(n)
                 return Product(n * int(self))
-        leaves = tuple((f0, f1, f2, Scale(k), t) for f0, f1, f2, k, t in cuts)
+        def skewed(cut):
+            return (*cut[:3], Scale(cut[3]), *cut[4:])
+        leaves = tuple(map(skewed, cuts))
         monkeypatch.setattr(zeckendorf, "_leaf_table", lambda: (limit, leaves))
-        monkeypatch.setattr(zeckendorf, "_cut_point",
-                            lambda j: (*cut_point(j)[:5], Scale(cut_point(j)[5]), cut_point(j)[6]))
+        monkeypatch.setattr(zeckendorf, "_cut_point", lambda j: skewed(cut_point(j)))
 
     def recording(x, y, rest, f0, f1, inv, p):
         precisions.add(p)
