@@ -23,8 +23,9 @@ takes the estimate x = (n >> s)·K >> c, with s and c fixed per cut and K
 ~ 2^(s+c)·phi^-m from the one builder _recip, and keeps it when 0 <= n - S(x)
 < S(x+1) - S(x), which is F(m) or F(m-1); otherwise _settle steps x by
 one until that holds, so no result depends on the estimate's accuracy.
-The constants of an upper cut are kept once per power of two; its F(m-2),
-F(m-1) are the pair that fibonacci keeps at the cut, _fib_pair(m - 1).
+The constants of an upper cut are kept per power of two and per _B
+digits of the top, so that K and 1/phi are sized to x, not to m; its
+F(m-2), F(m-1) are the pair that fibonacci keeps at the cut.
 The blocks are read by S_p(a), the same identity at m = p.  Every table
 is built on first use.
 
@@ -65,21 +66,21 @@ def _inv_phi(p: int) -> int:  # floor(2^p / phi) = floor((sqrt(5)·2^p - 2^p) / 
 _INV_PHI = _inv_phi(128)
 
 
-def _recip(m: int, t: int, p: int) -> tuple[int, int, int]:
-    """F(m-1), F(m-2) and K = floor(2^(t+p) / D), the 2^t·phi^-m of every
-    cut, for D = F(m-1)·2^p + F(m-2)·floor(2^p/phi) and m >= 1.
+def _recip(f1: int, f2: int, t: int, p: int) -> int:
+    """K = floor(2^(t+p) / D), the 2^t·phi^-m of every cut, for
+    D = F(m-1)·2^p + F(m-2)·floor(2^p/phi), f1 = F(m-1), f2 = F(m-2), m >= 1.
 
     As phi^m = F(m-1) + F(m-2)/phi, D is in (2^p·phi^m - F(m-2),
     2^p·phi^m], and F(m-2) < phi^m, so K·2^-t is above phi^-m - 2^-t and
     below phi^-m / (1 - 2^-p) <= phi^-m·(1 + 2^(1-p)).
     """
-    f2, f1 = _fib_pair(m - 1)
-    return f1, f2, (1 << t + p) // ((f1 << p) + f2 * _inv_phi(p))
+    return (1 << t + p) // ((f1 << p) + f2 * _inv_phi(p))
 
 
-def _cut(m: int, top: int, p: int) -> tuple[int, int, int, int, int, int]:
-    """F(m), F(m-1), F(m-2), K, s and c of the cut at m for n < F(top):
-    K = _recip(m, s + c, p) with F(top) < 2^(s+c-8) and K < 2^(c-8).
+def _cut(f1: int, f2: int, top: int, p: int) -> tuple[int, int, int, int, int, int]:
+    """F(m), F(m-1), F(m-2), K, s and c of the cut at m for n < F(top),
+    given f1 = F(m-1), f2 = F(m-2): K = _recip(f1, f2, s + c, p) with
+    F(top) < 2^(s+c-8) and K < 2^(c-8).
 
     The estimate x = (n >> s)·K >> c is then floor(n·phi^-m - d) for a d
     in (-2^-9, 2^-7) when F(top) < F(m-1)·2^(p-10): by _recip, n·K·2^-(s+c)
@@ -90,7 +91,7 @@ def _cut(m: int, top: int, p: int) -> tuple[int, int, int, int, int, int]:
     from F(top), which above F(_B) would build and keep a cut pair.
     """
     t = top * 6943 // 10000 + 10
-    f1, f2, k = _recip(m, t, p)
+    k = _recip(f1, f2, t, p)
     c = k.bit_length() + 8
     return f1 + f2, f1, f2, k, t - c, c
 
@@ -103,8 +104,8 @@ def _low_table() -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...],
     same zero-padded to _LOW digits; the values S_p(a) = V(a·0^p) of the
     block words a followed by p = _LOW zeros, then the sentinel
     F(2·_LOW) = S_p(F(_LOW)), each floor exact as a + 1 < F(_CHUNK) + 2;
-    and F(p-1), F(p-2), K = _recip(p, 50, 128) of _read_chunks for
-    p = 3·_LOW, 2·_LOW, _LOW.
+    and F(p-1), F(p-2), K = _recip(F(p-1), F(p-2), 50, 128) of _read_chunks
+    for p = 3·_LOW, 2·_LOW, _LOW.
 
     The words of length k are "1" + w.zfill(k - 1) for the F(k - 2) words w
     below F(k - 2).  Built from this recurrence alone, not from fib_rep or
@@ -114,7 +115,8 @@ def _low_table() -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...],
     words = [""]
     for k in range(1, _LOW + 1):
         words += ["1" + w.zfill(k - 1) for w in words[: fib(k - 2)]]
-    levels = tuple(_recip(p, 50, 128) for p in (3 * _LOW, 2 * _LOW, _LOW))
+    levels = tuple((f1, f2, _recip(f1, f2, 50, 128))
+                   for f2, f1 in map(_fib_pair, (3 * _LOW - 1, 2 * _LOW - 1, _LOW - 1)))
     f1, f2, _ = levels[-1]
     shifted = tuple(f1 * a + f2 * ((a + 1) * _INV_PHI >> 128) for a in range(len(words) + 1))
     return tuple(words), tuple(w.zfill(_LOW) for w in words), shifted, levels
@@ -139,9 +141,9 @@ def fib_rep(n: int) -> str:
         return _rep(n)
     # n = V(a·0^p) + r with p = _LOW, r < F(p) and V(a·0^p) = a·phi^p +
     # F(p-2)·d for a d in (-0.382, 0.618], so n·phi^-p - a lies in
-    # (-0.172, 1.448), as F(p-2) < 0.448·phi^p and F(p) < 1.171·phi^p; so
-    # at every cut.  As in _read_chunks' level p = _LOW, E is a or a + 1,
-    # and one comparison with S_p(E) decides.
+    # (-0.172, 1.448), as F(p-2) < 0.448·phi^p and F(p) < 1.171·phi^p, at
+    # every cut.  As in _read_chunks' level p = _LOW, E is a or a + 1, and
+    # one comparison with S_p(E) decides.
     a = (n * levels[-1][2] + (1 << 49)) >> 50
     a -= n < shifted[a]
     return words[a] + padded[n - shifted[a]]
@@ -169,7 +171,8 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
     size (none when size is 0, for the top of the word).
 
     An upper cut estimates and tests x as a leaf cut does (see _peel), its
-    floors of (x+1)/phi and (x+2)/phi from _div_phi with the cut's 1/phi.
+    floors of (x+1)/phi and (x+2)/phi from _div_phi, by one product of
+    x + 1 with the cut's 1/phi.
     """
     limit, _ = _leaf_table()
     if n < limit:
@@ -177,15 +180,18 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
         chunks += [0] * (size - len(peeled))
         chunks += peeled
         return
-    # Cut at the greatest m = _B·2^j <= _top_index(n), lowered while F(m) > n.
-    j = (_top_index(n) // _B).bit_length() - 1
-    while _cut_point(j)[0] > n:
-        j -= 1
-    f0, f1, f2, scale, s, c, inv, p = _cut_point(j)
+    # Cut at the greatest m = _B·2^j <= _top_index(n), halved if F(m) > n;
+    # either way n < F(u·_B), the top that sizes the cut's constants.
+    u = _top_index(n) // _B + 1
+    j = (u - 1).bit_length() - 1
+    if _cut_point(j, u)[0] > n:
+        j, u = j - 1, 1 << j
+    f0, f1, f2, scale, s, c, inv, p = _cut_point(j, u)
     x = (n >> s) * scale >> c
-    y = _div_phi(x + 1, inv, p)
+    t = (x + 1) * inv
+    y = _div_phi(x + 1, t, p)
     n -= f1 * x + f2 * y
-    if n < 0 or n >= f1 and (n >= f0 or _div_phi(x + 2, inv, p) == y):
+    if n < 0 or n >= f1 and (n >= f0 or _div_phi(x + 2, t + inv, p) == y):
         x, n = _settle(x, y, n, f0, f1, inv, p)
     low = (_B << j) // _CHUNK
     _split(x, size - low, chunks)
@@ -223,10 +229,10 @@ def _read_chunks(chunks: list[int]) -> str:
     chunk.  For p = 48, 32, 16 each field x < F(p + 16) gets the greatest
     block a with S_p(a) = V(a·0^p) <= x by operations on the whole int:
     - E = (x·K + 2^49) >> 50, masked to 14 bits, is x·K/2^50 rounded, with
-      K (scale) = _recip(p, 50, 128) within one of 2^50·phi^-p, so
-      x·K/2^50 is within
-      x·2^-50 < 0.025 of x·phi^-p, x·K/2^50 - a is in (-0.2, 1.5) by the
-      bound in fib_rep, E is a or a + 1, and E <= F(_LOW) < 2^12;
+      K (scale) from _recip at t = 50, p = 128 within one of 2^50·phi^-p,
+      so x·K/2^50 is within x·2^-50 < 0.025 of x·phi^-p, x·K/2^50 - a is
+      in (-0.2, 1.5) by the bound in fib_rep, E is a or a + 1, and
+      E <= F(_LOW) < 2^12;
     - S = F(p-1)·E + F(p-2)·floor((E+1)/phi) = S_p(E), the floor taken as
       (E+1)·floor(2^40/phi) >> 40, exact for E < 2^13 by the proof above
       _INV_PHI;
@@ -263,8 +269,19 @@ def _read_chunks(chunks: list[int]) -> str:
 @cache
 def _leaf_table() -> tuple[int, tuple[tuple[int, int, int, int, int, int], ...]]:
     """F(_LEAF), and the _cut constants of the leaf cuts m = _CHUNK,
-    2·_CHUNK, ... below _LEAF for n < F(m + _CHUNK), with p = 128."""
-    return fib(_LEAF), tuple(_cut(m, m + _CHUNK, 128) for m in range(_CHUNK, _LEAF, _CHUNK))
+    2·_CHUNK, ... below _LEAF for n < F(m + _CHUNK), with p = 128.
+
+    Each pair F(m-1), F(m) steps to the next cut's by
+    F(i+c) = F(c-1)·F(i) + F(c-2)·F(i-1) at c = _CHUNK, four products
+    with ints below F(_CHUNK), so fibonacci's list stays at F(_CHUNK).
+    """
+    c2, c1 = _fib_pair(_CHUNK - 1)
+    f1, f0 = _fib_pair(_CHUNK)
+    cuts = []
+    for m in range(_CHUNK, _LEAF, _CHUNK):
+        cuts.append(_cut(f1, f0 - f1, m + _CHUNK, 128))
+        f1, f0 = (c1 - c2) * f1 + c2 * f0, c2 * f1 + c1 * f0  # at the next cut
+    return f0, tuple(cuts)
 
 
 def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tuple[int, int]:
@@ -284,11 +301,11 @@ def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tu
     while rest < 0:  # S(0) = 0 <= n, so x stays >= 0
         if steps == _SETTLE_STEPS:
             raise RuntimeError(f"cut estimate more than {_SETTLE_STEPS} steps away")
-        z = _div_phi(x, inv, p)
+        z = _div_phi(x, x * inv, p)
         x, y, rest = x - 1, z, rest + (f0 if z < y else f1)
         steps += 1
     while rest >= f1:
-        z = _div_phi(x + 2, inv, p)
+        z = _div_phi(x + 2, (x + 2) * inv, p)
         if z > y and rest < f0:
             break
         if steps == _SETTLE_STEPS:
@@ -298,15 +315,15 @@ def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tu
     return x, rest
 
 
-def _div_phi(a: int, inv: int, p: int) -> int:
-    """floor(a / phi) for a >= 0, given inv = floor(2^p / phi).
+def _div_phi(a: int, t: int, p: int) -> int:
+    """floor(a / phi) for a >= 0, given t = a·inv for inv = floor(2^p / phi),
+    so that a caller with the product for a has the one for a + 1 as t + inv.
 
-    a/phi lies in [t, t + a) / 2^p for t = a·inv, so its floor is at least
-    t >> p and at most (t + a) >> p, which almost always agree.  Between
-    them, y + 1 <= a/phi exactly when a^2 >= (y+1)·(a + y + 1), as
+    a/phi lies in [t, t + a) / 2^p, so its floor is at least t >> p and at
+    most (t + a) >> p, which almost always agree.  Between them,
+    y + 1 <= a/phi exactly when a^2 >= (y+1)·(a + y + 1), as
     a^2 - a·z - z^2 = -(z - a/phi)(z + a·phi) for every z.
     """
-    t = a * inv
     y = t >> p
     while y < (t + a) >> p and a * a >= (y + 1) * (a + y + 1):
         y += 1
@@ -314,14 +331,17 @@ def _div_phi(a: int, inv: int, p: int) -> int:
 
 
 @cache
-def _cut_point(j: int) -> tuple[int, int, int, int, int, int, int, int]:
-    """The _cut constants of the cut at m = _B·2^j for n < F(2m), then
-    inv = floor(2^p / phi) and p, 64 bits more than F(m-1) has; F(m-2),
-    F(m-1) are the pair that fibonacci keeps at the cut.
+def _cut_point(j: int, u: int) -> tuple[int, int, int, int, int, int, int, int]:
+    """The _cut constants of the cut at m = _B·2^j for n < F(u·_B), then
+    inv = floor(2^p / phi) and p, 74 bits more than the length bound of
+    F(u·_B - m), which the high part x stays about below; that p also meets
+    _cut's F(u·_B) < F(m-1)·2^(p-10).  So K and 1/phi grow with x, not
+    with m.  F(m-2), F(m-1) are the pair that fibonacci keeps at the cut.
     """
     m = _B << j
-    p = _fib_pair(m - 1)[1].bit_length() + 64
-    return (*_cut(m, 2 * m, p), _inv_phi(p), p)
+    f2, f1 = _fib_pair(m - 1)
+    p = (u * _B - m) * 6943 // 10000 + 74
+    return (*_cut(f1, f2, u * _B, p), _inv_phi(p), p)
 
 
 def is_zeckendorf(w: str) -> bool:

@@ -257,7 +257,7 @@ def div_phi_oracle(a):
 
 def test_div_phi_exhaustive():
     for a in range(10**6 + 1):
-        assert _div_phi(a, _INV_PHI, 128) == div_phi_oracle(a)
+        assert _div_phi(a, a * _INV_PHI, 128) == div_phi_oracle(a)
     # A leaf takes floor(a/phi) as (a * _INV_PHI) >> 128, with no search,
     # for a <= F(64) + 2: check it where a/phi comes closest to an integer,
     # a = F(k) + d, and at random.
@@ -267,18 +267,18 @@ def test_div_phi_exhaustive():
         assert ((a * _INV_PHI) >> 128) == div_phi_oracle(a), a
     # A 1/phi of 4 bits leaves up to a/16 candidates to the exact search.
     for a in range(10**4):
-        assert _div_phi(a, 9, 4) == div_phi_oracle(a)
+        assert _div_phi(a, a * 9, 4) == div_phi_oracle(a)
 
 
 def test_div_phi_on_10k_digit_numbers():
     rng = random.Random(12)
-    *_, inv, p = _cut_point(6)  # 1/phi to about 45,500 bits
+    *_, inv, p = _cut_point(6, 128)  # 1/phi to about 45,500 bits
     for _ in range(40):
         a = rng.randrange(10**9999, 10**10000)  # about 33,200 bits
-        assert _div_phi(a, inv, p) == div_phi_oracle(a)
+        assert _div_phi(a, a * inv, p) == div_phi_oracle(a)
         for bits in (2, 8):  # a coarse 1/phi: the search decides
             q = p - a.bit_length() - bits
-            assert _div_phi(a, inv >> q, p - q) == div_phi_oracle(a)
+            assert _div_phi(a, a * (inv >> q), p - q) == div_phi_oracle(a)
 
 
 def test_fib_pair_and_cut_constants():
@@ -292,22 +292,25 @@ def test_fib_pair_and_cut_constants():
         return (1 << t + p) // ((own_fib(m - 1) << p) + own_fib(m - 2) * div_phi_oracle(1 << p))
 
     # Every cut constant against its oracle: the three block levels, then
-    # the 63 leaf cuts (n < F(m + 64), p = 128) and the upper cuts
-    # (n < F(2m)), with the bounds the estimate (n >> s)·K >> c needs:
-    # K·2^-c < 2^-8, F(top) < 2^(s+c-8) and F(top) < F(m-1)·2^(p-10).
+    # the 63 leaf cuts (n < F(m + 64), p = 128) and the upper cuts at
+    # m = _B·2^j for every top u·_B in (m, 2m], with the bounds the estimate
+    # (n >> s)·K >> c needs: K·2^-c < 2^-8, F(top) < 2^(s+c-8) and
+    # F(top) < F(m-1)·2^(p-10), and 1/phi to 64 bits more than F(top - m).
     levels = zeckendorf._low_table()[3]
     assert levels == tuple((own_fib(p - 1), own_fib(p - 2), recip(p, 50, 128)) for p in (48, 32, 16))
     limit, cuts = zeckendorf._leaf_table()
     assert limit == own_fib(4 * _B) and len(cuts) == 4 * _B // 64 - 1
-    upper = [(_B << j, 2 * _B << j, _cut_point(j)) for j in range(5)]
+    upper = [(_B << j, u * _B, _cut_point(j, u))
+             for j in range(5) for u in range((1 << j) + 1, (2 << j) + 1)]
     leaves = [(64 * (i + 1), 64 * (i + 2), (*cut, _INV_PHI, 128)) for i, cut in enumerate(cuts)]
     for m, top, (f0, f1, f2, k, s, c, inv, p) in leaves + upper:
         assert (f0, f1, f2) == (own_fib(m), own_fib(m - 1), own_fib(m - 2)), m
         assert inv == div_phi_oracle(1 << p)  # floor(2^p / phi)
         assert k == recip(m, s + c, p), m
-        # F(2m) = F(m-1)·F(m) + F(m-2)·F(m-1), so no own_fib list to 2m.
-        f_top = own_fib(top) if top <= 4 * _B else f1 * f0 + f2 * f1
-        assert k < 1 << c - 8 and f_top < 1 << s + c - 8 and f_top < f1 << p - 10, m
+        # F(top) = F(m-1)·F(top-m) + F(m-2)·F(top-m-1): no own_fib list to 2m.
+        f_top = own_fib(top) if top <= 4 * _B else f1 * own_fib(top - m) + f2 * own_fib(top - m - 1)
+        assert k < 1 << c - 8 and f_top < 1 << s + c - 8 and f_top < f1 << p - 10, (m, top)
+        assert own_fib(top - m) < 1 << p - 64, (m, top)
     # Words whose top digits weigh F(i) on both sides of F(_B) and the cuts.
     rng = random.Random(14)
     for k in (_B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 3 * _B + 65, (_B << 4) + 2):
@@ -352,7 +355,7 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
             return (*cut[:3], Scale(cut[3]), *cut[4:])
         leaves = tuple(map(skewed, cuts))
         monkeypatch.setattr(zeckendorf, "_leaf_table", lambda: (limit, leaves))
-        monkeypatch.setattr(zeckendorf, "_cut_point", lambda j: skewed(cut_point(j)))
+        monkeypatch.setattr(zeckendorf, "_cut_point", lambda j, u: skewed(cut_point(j, u)))
 
     def recording(x, y, rest, f0, f1, inv, p):
         precisions.add(p)
