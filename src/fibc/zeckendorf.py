@@ -23,9 +23,7 @@ takes the estimate x = (n >> s)·K >> c, with s and c fixed per cut and K
 ~ 2^(s+c)·phi^-m from the one builder _recip, and keeps it when 0 <= n - S(x)
 < S(x+1) - S(x), which is F(m) or F(m-1); otherwise _settle steps x by
 one until that holds, so no result depends on the estimate's accuracy.
-The constants of an upper cut are kept per power of two and per _B
-digits of the top, so that K and 1/phi are sized to x, not to m; its
-F(m-2), F(m-1) are the pair that fibonacci keeps at the cut.
+An upper cut's constants are kept per cut and per _B digits of the top.
 The blocks are read by S_p(a), the same identity at m = p.  Every table
 is built on first use.
 
@@ -78,17 +76,15 @@ def _recip(f1: int, f2: int, t: int, p: int) -> int:
 
 
 def _cut(f1: int, f2: int, top: int, p: int) -> tuple[int, int, int, int, int, int]:
-    """F(m), F(m-1), F(m-2), K, s and c of the cut at m for n < F(top),
-    given f1 = F(m-1), f2 = F(m-2): K = _recip(f1, f2, s + c, p) with
-    F(top) < 2^(s+c-8) and K < 2^(c-8).
+    """F(m), F(m-1) = f1, F(m-2) = f2, K = _recip(f1, f2, s + c, p), s and c
+    of the cut at m for n < F(top), with F(top) < 2^(s+c-8), K < 2^(c-8).
 
-    The estimate x = (n >> s)·K >> c is then floor(n·phi^-m - d) for a d
-    in (-2^-9, 2^-7) when F(top) < F(m-1)·2^(p-10): by _recip, n·K·2^-(s+c)
-    is below n·phi^-m by less than n·2^-(s+c) < 2^-8 and above it by less
-    than n·phi^-m·2^(1-p) < 2^-9, as phi^m > F(m-1); and the s bits dropped
-    from n weigh less than K·2^-c < 2^-8.  t = s + c comes from a bound on
-    the length of F(top) < 1.171·phi^top < 2^(0.69425·top + 0.23), not
-    from F(top), which above F(_B) would build and keep a cut pair.
+    If F(top) < F(m-1)·2^(p-10), x = (n >> s)·K >> c is floor(n·phi^-m - d)
+    for a d in (-2^-9, 2^-7): by _recip, n·K·2^-(s+c) is below n·phi^-m by
+    less than n·2^-(s+c) < 2^-8 and above it by less than
+    n·phi^-m·2^(1-p) < 2^-9, as phi^m > F(m-1); the s bits dropped from n
+    weigh less than K·2^-c < 2^-8.  s + c is 9 bits over a length bound,
+    F(top) < 1.171·phi^top < 2^(0.69425·top + 0.23): F(top) is not built.
     """
     t = top * 6943 // 10000 + 10
     k = _recip(f1, f2, t, p)
@@ -170,9 +166,8 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
     most significant first, after as many zero chunks as bring them to
     size (none when size is 0, for the top of the word).
 
-    An upper cut estimates and tests x as a leaf cut does (see _peel), its
-    floors of (x+1)/phi and (x+2)/phi from _div_phi, by one product of
-    x + 1 with the cut's 1/phi.
+    An upper cut estimates and tests x as a leaf does (see _peel), reading
+    floor((x+2)/phi) from the product for x + 1 plus inv.
     """
     limit, _ = _leaf_table()
     if n < limit:
@@ -180,8 +175,7 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
         chunks += [0] * (size - len(peeled))
         chunks += peeled
         return
-    # Cut at the greatest m = _B·2^j <= _top_index(n), halved if F(m) > n;
-    # either way n < F(u·_B), the top that sizes the cut's constants.
+    # Cut at the greatest m = _B·2^j <= _top_index(n), halved if F(m) > n; n < F(u·_B).
     u = _top_index(n) // _B + 1
     j = (u - 1).bit_length() - 1
     if _cut_point(j, u)[0] > n:
@@ -205,10 +199,10 @@ def _peel(n: int) -> list[int]:
 
     At the cut m, n < F(m + _CHUNK), and the estimate x = (n >> s)·K >> c
     from _leaf_table is floor(n·phi^-m - d) for a d in (-2^-9, 2^-7), by
-    _cut.  The estimate is kept when 0 <= n - S(x) <
-    S(x+1) - S(x), which is F(m) if floor((x+2)/phi) > y and F(m-1)
-    otherwise, checked exactly with _INV_PHI (the floor only when
-    F(m-1) <= n - S(x) < F(m)), and settled by _settle otherwise.
+    _cut.  It is kept when 0 <= n - S(x) < S(x+1) - S(x), which is F(m) if
+    floor((x+2)/phi) > y and F(m-1) otherwise, checked exactly with
+    _INV_PHI (the floor only when F(m-1) <= n - S(x) < F(m)), and settled
+    by _settle otherwise.
     """
     chunks = []
     _, cuts = _leaf_table()
@@ -269,11 +263,9 @@ def _read_chunks(chunks: list[int]) -> str:
 @cache
 def _leaf_table() -> tuple[int, tuple[tuple[int, int, int, int, int, int], ...]]:
     """F(_LEAF), and the _cut constants of the leaf cuts m = _CHUNK,
-    2·_CHUNK, ... below _LEAF for n < F(m + _CHUNK), with p = 128.
-
-    Each pair F(m-1), F(m) steps to the next cut's by
-    F(i+c) = F(c-1)·F(i) + F(c-2)·F(i-1) at c = _CHUNK, four products
-    with ints below F(_CHUNK), so fibonacci's list stays at F(_CHUNK).
+    2·_CHUNK, ... below _LEAF for n < F(m + _CHUNK), with p = 128, each
+    pair F(m-1), F(m) stepped to the next by F(i+c) = F(c-1)·F(i) +
+    F(c-2)·F(i-1) at c = _CHUNK: four products of ints below F(_CHUNK).
     """
     c2, c1 = _fib_pair(_CHUNK - 1)
     f1, f0 = _fib_pair(_CHUNK)
@@ -316,8 +308,7 @@ def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tu
 
 
 def _div_phi(a: int, t: int, p: int) -> int:
-    """floor(a / phi) for a >= 0, given t = a·inv for inv = floor(2^p / phi),
-    so that a caller with the product for a has the one for a + 1 as t + inv.
+    """floor(a / phi) for a >= 0, given t = a·inv, inv = floor(2^p / phi).
 
     a/phi lies in [t, t + a) / 2^p, so its floor is at least t >> p and at
     most (t + a) >> p, which almost always agree.  Between them,
@@ -333,10 +324,9 @@ def _div_phi(a: int, t: int, p: int) -> int:
 @cache
 def _cut_point(j: int, u: int) -> tuple[int, int, int, int, int, int, int, int]:
     """The _cut constants of the cut at m = _B·2^j for n < F(u·_B), then
-    inv = floor(2^p / phi) and p, 74 bits more than the length bound of
-    F(u·_B - m), which the high part x stays about below; that p also meets
-    _cut's F(u·_B) < F(m-1)·2^(p-10).  So K and 1/phi grow with x, not
-    with m.  F(m-2), F(m-1) are the pair that fibonacci keeps at the cut.
+    inv = floor(2^p / phi) and p, 74 bits over the length bound of
+    F(u·_B - m), which the high part is below: K and 1/phi are sized to
+    the high part, not to m.
     """
     m = _B << j
     f2, f1 = _fib_pair(m - 1)

@@ -384,10 +384,10 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
 def test_leaf_estimates_are_within_one(monkeypatch):
     # _settle never decides a word, so only its cost shows a leaf estimate
     # gone wrong: each must be within one of the chunk, and x moves on about
-    # one chunk in seven (638 of 4,654 here: 467 estimates one above the
-    # chunk, 171 one below).  The leaf keeps every right estimate, checking
+    # one chunk in seven (637 of 4,654 here: 464 estimates one above the
+    # chunk, 173 one below).  The leaf keeps every right estimate, checking
     # n - S(x) < S(x+1) - S(x) exactly, so each of its _settle calls moves
-    # x: 638 calls here, where a check against F(m-1) alone made 1,583.
+    # x: 637 calls here, where a check against F(m-1) alone made 1,585.
     moves, chunks = [], 0
 
     def counting(x, y, rest, f0, f1, inv, p):
