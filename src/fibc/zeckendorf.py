@@ -23,7 +23,7 @@ takes the estimate x = (n >> s)·K >> c, with s and c fixed per cut and K
 ~ 2^(s+c)·phi^-m from the one builder _recip, and keeps it when 0 <= n - S(x)
 < S(x+1) - S(x), which is F(m) or F(m-1); otherwise _settle steps x by
 one until that holds, so no result depends on the estimate's accuracy.
-An upper cut's constants are kept per cut and per _B digits of the top.
+Upper-cut constants are kept per cut and per m/16 digits of the top.
 The blocks are read by S_p(a), the same identity at m = p.  Every table
 is built on first use.
 
@@ -175,12 +175,14 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
         chunks += [0] * (size - len(peeled))
         chunks += peeled
         return
-    # Cut at the greatest m = _B·2^j <= _top_index(n), halved if F(m) > n; n < F(u·_B).
-    u = _top_index(n) // _B + 1
-    j = (u - 1).bit_length() - 1
-    if _cut_point(j, u)[0] > n:
-        j, u = j - 1, 1 << j
-    f0, f1, f2, scale, s, c, inv, p = _cut_point(j, u)
+    # Cut at the greatest m = _B·2^j <= _top_index(n), halved if F(m) > n.
+    # n < F(top) for top rounded up to a sixteenth of m: 16 tops per cut.
+    top = _top_index(n) + 1
+    j = ((top - 1) // _B).bit_length() - 1
+    top += -top % (_B << j >> 4)
+    if _cut_point(j, top)[0] > n:
+        j, top = j - 1, _B << j
+    f0, f1, f2, scale, s, c, inv, p = _cut_point(j, top)
     x = (n >> s) * scale >> c
     t = (x + 1) * inv
     y = _div_phi(x + 1, t, p)
@@ -322,16 +324,14 @@ def _div_phi(a: int, t: int, p: int) -> int:
 
 
 @cache
-def _cut_point(j: int, u: int) -> tuple[int, int, int, int, int, int, int, int]:
-    """The _cut constants of the cut at m = _B·2^j for n < F(u·_B), then
-    inv = floor(2^p / phi) and p, 74 bits over the length bound of
-    F(u·_B - m), which the high part is below: K and 1/phi are sized to
-    the high part, not to m.
-    """
+def _cut_point(j: int, top: int) -> tuple[int, int, int, int, int, int, int, int]:
+    """The _cut constants of the cut at m = _B·2^j for n < F(top), then
+    inv = floor(2^p / phi) and p, 74 bits over the length bound of F(top - m),
+    which the high part is below: K and 1/phi are sized to it, not to m."""
     m = _B << j
     f2, f1 = _fib_pair(m - 1)
-    p = (u * _B - m) * 6943 // 10000 + 74
-    return (*_cut(f1, f2, u * _B, p), _inv_phi(p), p)
+    p = (top - m) * 6943 // 10000 + 74
+    return (*_cut(f1, f2, top, p), _inv_phi(p), p)
 
 
 def is_zeckendorf(w: str) -> bool:

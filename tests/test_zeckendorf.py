@@ -272,7 +272,7 @@ def test_div_phi_exhaustive():
 
 def test_div_phi_on_10k_digit_numbers():
     rng = random.Random(12)
-    *_, inv, p = _cut_point(6, 128)  # 1/phi to about 45,500 bits
+    *_, inv, p = _cut_point(6, 128 * _B)  # 1/phi to about 45,500 bits
     for _ in range(40):
         a = rng.randrange(10**9999, 10**10000)  # about 33,200 bits
         assert _div_phi(a, a * inv, p) == div_phi_oracle(a)
@@ -293,15 +293,17 @@ def test_fib_pair_and_cut_constants():
 
     # Every cut constant against its oracle: the three block levels, then
     # the 63 leaf cuts (n < F(m + 64), p = 128) and the upper cuts at
-    # m = _B·2^j for every top u·_B in (m, 2m], with the bounds the estimate
-    # (n >> s)·K >> c needs: K·2^-c < 2^-8, F(top) < 2^(s+c-8) and
+    # m = _B·2^j for the 16 tops m + i·m/16 up to 2m, with the bounds the
+    # estimate (n >> s)·K >> c needs: K·2^-c < 2^-8, F(top) < 2^(s+c-8) and
     # F(top) < F(m-1)·2^(p-10), and 1/phi to 64 bits more than F(top - m).
     levels = zeckendorf._low_table()[3]
     assert levels == tuple((own_fib(p - 1), own_fib(p - 2), recip(p, 50, 128)) for p in (48, 32, 16))
     limit, cuts = zeckendorf._leaf_table()
     assert limit == own_fib(4 * _B) and len(cuts) == 4 * _B // 64 - 1
-    upper = [(_B << j, u * _B, _cut_point(j, u))
-             for j in range(5) for u in range((1 << j) + 1, (2 << j) + 1)]
+    upper = []
+    for j in range(5):
+        m = _B << j
+        upper += [(m, top, _cut_point(j, top)) for top in range(m + m // 16, 2 * m + 1, m // 16)]
     leaves = [(64 * (i + 1), 64 * (i + 2), (*cut, _INV_PHI, 128)) for i, cut in enumerate(cuts)]
     for m, top, (f0, f1, f2, k, s, c, inv, p) in leaves + upper:
         assert (f0, f1, f2) == (own_fib(m), own_fib(m - 1), own_fib(m - 2)), m
@@ -355,7 +357,7 @@ def test_estimates_off_by_three_stay_exact(monkeypatch):
             return (*cut[:3], Scale(cut[3]), *cut[4:])
         leaves = tuple(map(skewed, cuts))
         monkeypatch.setattr(zeckendorf, "_leaf_table", lambda: (limit, leaves))
-        monkeypatch.setattr(zeckendorf, "_cut_point", lambda j, u: skewed(cut_point(j, u)))
+        monkeypatch.setattr(zeckendorf, "_cut_point", lambda j, top: skewed(cut_point(j, top)))
 
     def recording(x, y, rest, f0, f1, inv, p):
         precisions.add(p)
