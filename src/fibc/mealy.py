@@ -19,10 +19,13 @@ importing the module stays light: `import fibc` loads none of
 one head byte, the sentinel 1 then the first len % 4 symbols (1 to 127).
 Each state gets a row of `_ROW` empty entries with the machine, and an
 entry, (next state's row, output), is filled from `trace` on its first
-miss: chunk byte b at b, head byte h at 256 + h.
-So one step of `run` is one list index and one unpack, and the memo never
-holds more than states x (1 + |A| + |A|^2 + |A|^3 + |A|^4) entries for
-input alphabet A: states x 121 for the adders.
+miss: chunk byte b at b, head byte h at 256 + h.  A fill that hits a
+missing transition stores nothing, and `run` reports the error at its
+position in the word, from the byte's index; a word with a symbol other
+than 0 to 3 goes to `trace` whole.  So one step of `run` is one list
+index and one unpack, and the memo never holds more than
+states x (1 + |A| + |A|^2 + |A|^3 + |A|^4) entries for input alphabet A:
+states x 121 for the adders.
 """
 
 from __future__ import annotations
@@ -158,18 +161,10 @@ class MealyMachine:
 
         With `addend`, read the digit-wise sum of two equal-length binary
         words, `word` and `addend`, without building it; anything else
-        there is a ValueError.  Both are checked in one pass over their
-        concatenation: ASCII first, as encode() raises on a lone surrogate,
-        then no byte left once 0 and 1 are deleted.
-
-        The word is read as `int("1" + word, 4)`, one head byte and then
-        four symbols to a byte, each byte looked up in its state's row (see
-        the module docstring).  An entry seen for the first time is filled
-        from `trace` on its chunk.  A word with a symbol other than 0 to 3
-        goes to `trace` as a whole; a chunk that hits a missing transition
-        is reported at its position in the word, and its failed fill stores
-        nothing.  Running the empty word, the head alone, gives the start
-        state's final word.
+        there is a ValueError, as is an unknown start state.  A symbol with
+        no transition from the state reached, one outside 0 to 3 included,
+        raises MissingTransitionError with its position in the word.
+        Running the empty word gives the start state's final word.
         """
         state = self.initial if start is None else start
         row = self._rows.get(state)
@@ -182,7 +177,8 @@ class MealyMachine:
                 self.trace(word, state)  # raises at the first foreign symbol
             number = int("1" + word, 4)
         else:
-            # Base 4 gives each binary digit a 2-bit field: no carries.
+            # Base 4 gives each binary digit a 2-bit field: no carries.  One
+            # check of both words: ASCII first, then no byte but 0 and 1.
             pair = word + addend
             if (len(addend) != n or not pair.isascii()
                     or pair.encode().translate(None, b"01")):

@@ -5,35 +5,37 @@ represents 0.  fib_rep and fib_value are mutually inverse between canonical
 words and the nonnegative integers, and fib_rep is increasing for the radix
 order (shorter first, then lexicographic).
 
-fib_rep reads an n below F(32) as two 16-digit blocks from _low_table: the
-Zeckendorf words below F(16) and their values with 16 zeros appended.
-Larger n are cut in two, divide and conquer.  A word hi·lo whose part lo
-has m digits has the value F(m-1)·V(hi) + F(m-2)·V'(hi) + V(lo), where V'
-weighs digit j by F(j-1), and V'(hi) = floor((x+1)/phi) for the Zeckendorf
-word hi of value x.  So the high part of n is the greatest x with
+The cut.  A word hi·lo whose part lo has m digits has the value
+F(m-1)·V(hi) + F(m-2)·V'(hi) + V(lo), where V' weighs digit j by F(j-1),
+and V'(hi) = floor((x+1)/phi) for the Zeckendorf word hi of value x.  So
+the high part of n is the greatest x with
 
     S_m(x) = F(m-1)·x + F(m-2)·floor((x+1)/phi) <= n,
 
 and the low part is the word of n - S_m(x) < F(m), padded to m digits.
-Above F(_LEAF) the cuts fall at m = _B·2^j >= _LEAF; below it, every 64
-digits (_peel, from _leaf_table).  The chunk values of all the leaves are
-read in one pass over a single int with a 64-bit field per chunk, each
-chunk as four 16-digit blocks (_read_chunks, from _low_table).  Every cut
-takes the estimate x = (n >> s)·K >> c, with s and c fixed per cut and K
-~ 2^(s+c)·phi^-m from the one builder _recip, and keeps it when 0 <= n - S(x)
-< S(x+1) - S(x), which is F(m) or F(m-1); otherwise _settle steps x by
-one until that holds, so no result depends on the estimate's accuracy.
-Upper-cut constants are kept per cut and per m/16 digits of the top.
-The blocks are read by S_p(a), the same identity at m = p.  Every table
-is built on first use.
+The keep test: an estimate x is that greatest x when 0 <= n - S(x) <
+S(x+1) - S(x), which is F(m) if floor((x+2)/phi) > floor((x+1)/phi) and
+F(m-1) otherwise.  Each cut of _split and _peel estimates x = (n >> s)·K
+>> c and keeps it or hands it to _settle, so no result depends on the
+estimate's accuracy.
 
-normalize_fib returns a binary word without 11 as it is, less its
-leading zeros: no int is built for it.  About half the adder outputs
-on words of up to 11 digits have no 11, an eighth to a sixth on 30-digit
-words, and almost none on long ones.  Any other word it rewrites
-011 -> 100 in rounds of big-int operations, every occurrence at once,
-and converts a word still not canonical after them through its value:
-fib_value, split at the same cuts, then fib_rep.
+Which routine does what, and where its proof lives:
+- fib_rep: below F(32), two 16-digit blocks from _low_table, the top one
+  from an estimate bounded in its comment; above, _rep.
+- _split: above F(_LEAF), cuts at m = _B·2^j with the constants of
+  _cut_point, each kept per cut and per m/16 digits of the top.
+- _peel: below F(_LEAF), a leaf cut every _CHUNK digits with the constants
+  of _leaf_table, its floors of (x+1)/phi taken with _INV_PHI (the floor
+  lemma above it).
+- _recip builds every K (its bounds); _cut sizes s and c (the estimate's
+  error); _div_phi takes the upper cuts' floors (its bracket); _settle
+  steps a failed estimate (its step budget); _top_index bounds the top
+  digit.
+- _read_chunks: the chunks of all leaves in one packed pass, four blocks a
+  chunk, the blocks read by S_p(a), the cut at m = p (its field bounds).
+- normalize_fib: any word to the canonical word of its value, by
+  _normalize_binary (its rounds and their fallback).
+Every table is built on first use.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from struct import pack, unpack
 from .fibonacci import _B, _check_word, _fib_pair, fib, fib_value
 
 _LOW = 16  # digits per table block; below F(2 * _LOW) a word is two blocks
-_CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _peel
+_CHUNK = 4 * _LOW  # digits per leaf chunk; F(_CHUNK) < 2**45, see _read_chunks
 _LEAF = 4 * _B  # digits below which a part is one leaf, cut every _CHUNK digits
 _ROUNDS = 24  # bit-parallel rounds of _normalize_binary before the int round trip
-_SETTLE_STEPS = 16  # most steps _settle takes; the estimates need at most 2
+_SETTLE_STEPS = 16  # most steps _settle takes, see _settle
 
 
 @cache
@@ -60,7 +62,8 @@ def _inv_phi(p: int) -> int:  # floor(2^p / phi) = floor((sqrt(5)·2^p - 2^p) / 
 # (a * _INV_PHI) >> 128 is floor(a / phi) for every a <= F(_CHUNK) + 2 < 2**46:
 # a·_INV_PHI / 2^128 is below a/phi by less than a·2^-128 < 2^-82, while a/phi
 # is at least 1/(y + a·phi) > 2^-48 above y = floor(a/phi), as
-# (a/phi - y)(y + a·phi) = a^2 - a·y - y^2 is a nonzero integer for a > 0.
+# (a/phi - z)(z + a·phi) = a^2 - a·z - z^2 for every z, a nonzero integer
+# for integers a > 0 and z.
 _INV_PHI = _inv_phi(128)
 
 
@@ -99,23 +102,23 @@ def _low_table() -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...],
     words below F(_LOW) in value order (so words[v] has value v) and the
     same zero-padded to _LOW digits; the values S_p(a) = V(a·0^p) of the
     block words a followed by p = _LOW zeros, then the sentinel
-    F(2·_LOW) = S_p(F(_LOW)), each floor exact as a + 1 < F(_CHUNK) + 2;
-    and F(p-1), F(p-2), K = _recip(F(p-1), F(p-2), 50, 128) of _read_chunks
-    for p = 3·_LOW, 2·_LOW, _LOW.
+    F(2·_LOW) = S_p(F(_LOW)); and F(p-1), F(p-2), K = _recip(F(p-1),
+    F(p-2), 50, 128) of _read_chunks for p = 3·_LOW, 2·_LOW, _LOW.
 
     The words of length k are "1" + w.zfill(k - 1) for the F(k - 2) words w
-    below F(k - 2).  Built from this recurrence alone, not from fib_rep or
-    complement._no_11_words: the round-trip and order checks compare
-    those with each other, which a shared source would make circular.
+    below F(k - 2), and S_p of each is F(k + p - 1) + S_p(w).  Built from
+    this recurrence alone, not from fib_rep or complement._no_11_words: the
+    round-trip and order checks compare those with each other, which a
+    shared source would make circular.
     """
-    words = [""]
+    words, values = [""], [0]
     for k in range(1, _LOW + 1):
         words += ["1" + w.zfill(k - 1) for w in words[: fib(k - 2)]]
+        values += map(fib(k + _LOW - 1).__add__, values[: fib(k - 2)])
+    values.append(fib(2 * _LOW))
     levels = tuple((f1, f2, _recip(f1, f2, 50, 128))
                    for f2, f1 in map(_fib_pair, (3 * _LOW - 1, 2 * _LOW - 1, _LOW - 1)))
-    f1, f2, _ = levels[-1]
-    shifted = tuple(f1 * a + f2 * ((a + 1) * _INV_PHI >> 128) for a in range(len(words) + 1))
-    return tuple(words), tuple(w.zfill(_LOW) for w in words), shifted, levels
+    return tuple(words), tuple(w.zfill(_LOW) for w in words), tuple(values), levels
 
 
 def fib_rep(n: int) -> str:
@@ -166,8 +169,8 @@ def _split(n: int, size: int, chunks: list[int]) -> None:
     most significant first, after as many zero chunks as bring them to
     size (none when size is 0, for the top of the word).
 
-    An upper cut estimates and tests x as a leaf does (see _peel), reading
-    floor((x+2)/phi) from the product for x + 1 plus inv.
+    An upper cut takes the keep test (see the module docstring) with
+    _div_phi, reading floor((x+2)/phi) from the product for x + 1 plus inv.
     """
     limit, _ = _leaf_table()
     if n < limit:
@@ -199,12 +202,9 @@ def _peel(n: int) -> list[int]:
     below _top_index(n), most significant first: each below F(_CHUNK), and
     at most _LEAF / _CHUNK of them, as the table stops below _LEAF.
 
-    At the cut m, n < F(m + _CHUNK), and the estimate x = (n >> s)·K >> c
-    from _leaf_table is floor(n·phi^-m - d) for a d in (-2^-9, 2^-7), by
-    _cut.  It is kept when 0 <= n - S(x) < S(x+1) - S(x), which is F(m) if
-    floor((x+2)/phi) > y and F(m-1) otherwise, checked exactly with
-    _INV_PHI (the floor only when F(m-1) <= n - S(x) < F(m)), and settled
-    by _settle otherwise.
+    At the cut m, n < F(m + _CHUNK), the top for which _leaf_table sized
+    the cut by _cut; the estimate takes the keep test (see the module
+    docstring) with _INV_PHI.
     """
     chunks = []
     _, cuts = _leaf_table()
@@ -282,14 +282,15 @@ def _settle(x: int, y: int, rest: int, f0: int, f1: int, inv: int, p: int) -> tu
     """The greatest x with S(x) <= n at the cut m, and n - S(x), stepped to
     from an estimate x >= 0 with y = floor((x+1)/phi) and rest = n - S(x);
     f0, f1 are F(m), F(m-1), and inv = floor(2^p / phi), p bits more than x
-    has.  S(x+1) - S(x) is F(m) or F(m-1), as floor((x+2)/phi) exceeds y or
-    not, so a step costs one _div_phi and one addition, no product with F.
+    has.  A step moves n - S(x) by S(x+1) - S(x), F(m) or F(m-1) by the
+    keep test, so it costs one _div_phi and one addition, no product with F.
 
-    The estimates of _peel and _split are within 2 of the answer: n·phi^-m
-    is within 1.5 of it by the bound in fib_rep, which holds at every cut,
-    and each estimate is within 2^-7 of n·phi^-m.  So a start more than
-    _SETTLE_STEPS steps away is a broken estimate, and _settle raises
-    RuntimeError rather than step on in time linear in the error.
+    The step budget: the estimates of _peel and _split are within 2 of the
+    answer, as n·phi^-m is within 1.5 of it by the bound in fib_rep, which
+    holds at every cut, and each estimate is the floor of a number within
+    2^-7 of n·phi^-m by _cut.  So a start more than _SETTLE_STEPS steps
+    away is a broken estimate, and _settle raises RuntimeError rather than
+    step on in time linear in the error.
     """
     steps = 0  # counted in each loop: one loop for both ways costs more per call
     while rest < 0:  # S(0) = 0 <= n, so x stays >= 0
@@ -314,8 +315,8 @@ def _div_phi(a: int, t: int, p: int) -> int:
 
     a/phi lies in [t, t + a) / 2^p, so its floor is at least t >> p and at
     most (t + a) >> p, which almost always agree.  Between them,
-    y + 1 <= a/phi exactly when a^2 >= (y+1)·(a + y + 1), as
-    a^2 - a·z - z^2 = -(z - a/phi)(z + a·phi) for every z.
+    y + 1 <= a/phi exactly when a^2 >= (y+1)·(a + y + 1), by the identity
+    above _INV_PHI at z = y + 1.
     """
     y = t >> p
     while y < (t + a) >> p and a * a >= (y + 1) * (a + y + 1):
@@ -355,9 +356,8 @@ def cmp_radix(u: str, v: str) -> int:
 def normalize_fib(w: str) -> str:
     """Canonical word with the same Fibonacci value as a ternary word.
 
-    Binary words are rewritten 011 -> 100 on an int, every occurrence at
-    once per round (see _normalize_binary); a word with a 2 is first run
-    through the plain adder, which returns a binary word of the same value.
+    A word with a 2 is first run through the plain adder, which returns a
+    binary word of the same value; binary words go to _normalize_binary.
 
     >>> normalize_fib("2")
     '10'
@@ -374,12 +374,14 @@ def _normalize_binary(w: str) -> str:
     """Canonical word with the same Fibonacci value as a binary word.
 
     A word without 11 is canonical but for its leading zeros, and is
-    returned without them, with no int built.  Any other word is rewritten
-    every 011 -> 100 at once (F(j+2) = F(j+1) + F(j)) on the int whose
-    bit j weighs F(j): occurrences never share a digit, so * 7 flips three
+    returned without them, with no int built: about half the adder outputs
+    on words of up to 11 digits, an eighth to a sixth on 30-digit words,
+    and almost none on long ones.  Any other word is rewritten every
+    011 -> 100 at once (F(j+2) = F(j+1) + F(j)) on the int whose bit j
+    weighs F(j): occurrences never share a digit, so * 7 flips three
     disjoint bits for each.  A run of k ones takes about k/2 rounds, so a
     word still not canonical after _ROUNDS rounds is converted through its
-    value instead.
+    value instead: fib_value, split at the same cuts, then _rep.
     """
     if "11" not in w:
         return w.lstrip("0")
@@ -387,7 +389,7 @@ def _normalize_binary(w: str) -> str:
     for _ in range(_ROUNDS):
         pairs = x & (x >> 1)
         if not pairs:
-            return format(x, "b") if x else ""
+            return format(x, "b")  # x > 0: w has a 1, and rounds keep the value
         x ^= (pairs & ~(x >> 2)) * 7
     return _rep(fib_value(format(x, "b")))
 

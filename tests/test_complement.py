@@ -84,14 +84,27 @@ def test_negative_rep_matches_cache_path_on_huge_n(n):
 
 
 def test_import_and_adders_leave_cache_at_two():
+    # Then first use grows the list only as far as its tables need: the
+    # block table's level constants reach F(47), and a word of 20 digits
+    # keeps no cut pair.  A leaf table that read its pairs through
+    # _fib_pair would fill the list to F(1024) on the first fib_rep(10**20).
     src = Path(fibonacci.__file__).resolve().parent.parent
     code = ("import fibc\n"
-            "from fibc.adders import berstel_adder, complement_adder\n"
+            "from fibc.adders import add_fibc, berstel_adder, complement_adder\n"
+            "from fibc.fibonacci import _CUT_PAIRS, _FIBS\n"
             "berstel_adder(); complement_adder()\n"
-            "print(len(fibc.fibonacci._FIBS))\n")
+            "print(len(_FIBS))\n"
+            "add_fibc(123456, -654321)\n"
+            "print(len(_FIBS))\n"
+            "fibc.fib_rep(10**20)\n"
+            "print(len(_FIBS), len(_CUT_PAIRS))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "2"
+    start, small, big = out.stdout.splitlines()
+    assert start == "2"
+    assert int(small) <= 48
+    fibs, pairs = map(int, big.split())
+    assert fibs <= 65 and pairs == 0
 
 
 def test_round_trip_integers():
